@@ -56,12 +56,10 @@ from .jets import (
     JetDomainError,
     constant,
     derivative,
-    jet_add,
     jet_div,
     jet_elem,
     jet_mul,
     jet_pow,
-    jet_sub,
     variable,
 )
 from .surfaces import (

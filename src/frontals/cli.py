@@ -28,7 +28,6 @@ from .exports import (
     write_lines,
 )
 from .frames import (
-    TangentEvaluator,
     adapted_frame,
     bishop_invariants,
     bishop_transport,
@@ -36,7 +35,7 @@ from .frames import (
     structure_residuals_adapted,
     structure_residuals_bishop,
 )
-from .frontal import contact_orders, unit_tangent
+from .frontal import TangentEvaluator, contact_orders, unit_tangent
 from .linalg import orthonormal_completion
 from .surfaces import (
     SurfaceGrid,
@@ -54,6 +53,9 @@ SURFACE_KINDS = ("tan", "nor", "pal", "can", "directrix-tan")
 VERIFY_CHECKS = ("theorem22", "theorem21", "symplectic", "structure")
 
 _STRUCTURE_SPACING = 1e-3
+
+#: |tau'| below which every node counts as lying on a straight segment
+_STRAIGHT_KAPPA = 1e-12
 
 
 def _add_curve_args(p):
@@ -142,6 +144,13 @@ def _emit(lines, out_path):
         sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _is_straight(curve, t_grid) -> bool:
+    """True when |tau'| < ``_STRAIGHT_KAPPA`` on every node: no adapted
+    frame exists, and any constant normal frame is parallel."""
+    ev = TangentEvaluator(curve)
+    return all(ev.at(t).kappa < _STRAIGHT_KAPPA for t in t_grid)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -150,14 +159,12 @@ def cmd_invariants(args) -> int:
     ctx = _CurveContext(args)
     curve = ctx.curve
     t_grid = ctx.t_grid
-    ev = TangentEvaluator(curve)
-    kappas = np.array([ev.kappa(t) for t in t_grid])
     q = curve.codim - 1
     header = ["t", "a", "kappa"] + [f"ell_{i + 1}" for i in range(q)]
-    if kappas.max() < 1e-12:
-        # straight segment: any constant normal frame is parallel
+    if _is_straight(curve, t_grid):
         tf = unit_tangent(curve, t_grid)
-        a = np.array([float(np.dot(ev.fprime(t), tf.tau[i]))
+        ev = TangentEvaluator(curve)
+        a = np.array([float(np.dot(ev.at(t).fprime, tf.tau[i]))
                       for i, t in enumerate(t_grid)])
         rows = [[t_grid[i], a[i], 0.0] + [0.0] * q for i in range(len(t_grid))]
     else:
@@ -282,8 +289,7 @@ def _verify_theorem21(ctx, args, records):
     try:
         frame = adapted_frame(curve, t_grid, nu0=ctx.frame_seed(t_grid[0]))
     except InflectionError:
-        ev = TangentEvaluator(curve)
-        if max(ev.kappa(t) for t in t_grid) < 1e-12:
+        if _is_straight(curve, t_grid):
             lines = [f"check theorem21 on {curve.name}: PASS (vacuous)",
                      "  every sampled node of the tangent map is singular"]
             records.append({
@@ -334,7 +340,6 @@ def _verify_structure(ctx, args, records):
     span = curve.domain[1] - curve.domain[0]
     steps = max(ctx.t_steps, int(math.ceil(span / _STRUCTURE_SPACING)) + 1)
     t_grid = curve.grid(steps)
-    ev = TangentEvaluator(curve)
     residuals = {}
 
     fields = ctx.bishop_fields(t_grid)
@@ -342,8 +347,7 @@ def _verify_structure(ctx, args, records):
     for key, val in structure_residuals_bishop(curve, fields, binv).items():
         residuals[f"curve_normal.{key}"] = val
 
-    kappas = np.array([ev.kappa(t) for t in t_grid])
-    if kappas.max() >= 1e-12:
+    if not _is_straight(curve, t_grid):
         frame = adapted_frame(curve, t_grid, nu0=ctx.frame_seed(t_grid[0]))
         prof = invariants(curve, frame)
         for key, val in structure_residuals_adapted(curve, frame, prof).items():

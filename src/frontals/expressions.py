@@ -360,18 +360,15 @@ def eval_real(e: Expr, t: float) -> float:
     if isinstance(e, Pow):
         a = eval_real(e.base, t)
         exp = e.exponent
-        if exp.denominator == 1:
-            n = exp.numerator
-            if n < 0 and a == 0.0:
-                raise EvalDomainError("zero base with negative exponent", e)
-            return float(a) ** n
-        if a < 0.0:
-            raise EvalDomainError(
-                "negative base with non-integer exponent", e
-            )
         if a == 0.0 and exp < 0:
             raise EvalDomainError("zero base with negative exponent", e)
-        return float(a) ** float(exp)
+        if a < 0.0 and exp.denominator != 1:
+            raise EvalDomainError("negative base with non-integer exponent", e)
+        power = exp.numerator if exp.denominator == 1 else float(exp)
+        try:
+            return float(a) ** power
+        except OverflowError:
+            raise EvalDomainError("overflow", e) from None
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -17,6 +17,7 @@ before renormalization is recorded as a quality metric, and a step whose
 drift exceeds the limit is rejected as a too-coarse-grid signal.
 
 Tangent and frame derivatives at arbitrary parameter values come from
+:meth:`TangentEvaluator.at`, one record per parameter value built from
 jets of the curve (exact at the evaluation point), not from grid
 differencing; only fields that exist purely as ODE samples are ever
 differentiated by finite differences (elsewhere in the package).
@@ -32,12 +33,14 @@ from .curves import Curve
 from .errors import GridTooCoarseError, InflectionError
 from .frontal import (
     DEFAULT_K_MAX,
+    TangentData,
     TangentEvaluator,
     TangentField,
     derivative_jets,
+    leading_unit_jets,
     unit_tangent,
 )
-from .jets import JetDomainError, derivative, jet_div, jet_mul, jet_sqrt
+from .jets import Jet, jet_mul
 from .linalg import gram_schmidt, orthonormal_completion
 
 _SEED_ORTHO_TOL = 1e-10
@@ -45,27 +48,29 @@ DEFAULT_DRIFT_LIMIT = 1e-3
 DEFAULT_INFLECTION_REL_TOL = 1e-6
 
 
-def _mu_jets(ev: TangentEvaluator, t: float, ref=None):
-    """(mu, mu', kappa) at t from jets of the unit tangent.
+def _connection(mode: str, d: TangentData):
+    """(a, b, basis) of a transport at one record: the fields obey
+    ``y' = -(y . b) a`` and stay orthogonal to ``basis``."""
+    if mode == "curve_normal":
+        return d.tau, d.tau_p, [d.tau]
+    if mode == "surface_normal":
+        mu, mu_p = d.normal()
+        return mu, mu_p, [d.tau, mu]
+    raise ValueError(f"unknown transport mode {mode!r}")
 
-    mu is tau'/|tau'| so kappa = |tau'| is nonnegative by convention;
-    the (mu, kappa, ells) -> (-mu, -kappa, -ells) ambiguity is resolved
-    this way throughout the package.
-    """
-    tau_jets = ev.tau_jet_vec(t, 2, ref)
-    tp = derivative_jets(tau_jets)
-    s2 = None
-    for j in tp:
-        q = jet_mul(j, j)
-        s2 = q if s2 is None else s2 + q
-    try:
-        norm = jet_sqrt(s2)
-    except JetDomainError as exc:
-        raise InflectionError(f"inflection point in range: |tau'| = 0 at t={t}") from exc
-    mu_jets = [jet_div(j, norm) for j in tp]
-    mu = np.array([j.value for j in mu_jets])
-    mu_p = np.array([derivative(j, 1) for j in mu_jets])
-    return mu, mu_p, norm.value
+
+def _rhs(mode: str, d: TangentData, y: np.ndarray) -> np.ndarray:
+    a, b, _ = _connection(mode, d)
+    return -(y @ b)[:, None] * a[None, :]
+
+
+def _rk4_step(mode, h, y, d0, dm, d1):
+    """One RK4 step of length h from the records at start, middle, end."""
+    k1 = _rhs(mode, d0, y)
+    k2 = _rhs(mode, dm, y + 0.5 * h * k1)
+    k3 = _rhs(mode, dm, y + 0.5 * h * k2)
+    k4 = _rhs(mode, d1, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass
@@ -85,13 +90,14 @@ class ParallelFields:
     def n_fields(self) -> int:
         return self.vectors.shape[0]
 
-    def field_derivatives(self, index: int) -> np.ndarray:
-        """Exact ODE right-hand side at the grid nodes for one field."""
+    def field_derivatives(self) -> np.ndarray:
+        """Exact ODE right-hand side at the grid nodes for every field.
+        Returns shape (n_fields, n_samples, dim)."""
         ev = TangentEvaluator(self.curve)
-        out = np.empty_like(self.vectors[index])
+        out = np.empty_like(self.vectors)
         for i, t in enumerate(self.grid):
-            rhs = _make_rhs(ev, self.mode, t, self.tau_samples[i])
-            out[i] = rhs(self.vectors[index, i : i + 1])[0]
+            d = ev.at(t, self.tau_samples[i])
+            out[:, i, :] = _rhs(self.mode, d, self.vectors[:, i, :])
         return out
 
     def eval_at(self, ts) -> np.ndarray:
@@ -103,43 +109,14 @@ class ParallelFields:
         for j, t in enumerate(ts):
             k = int(np.argmin(np.abs(self.grid - t)))
             y = self.vectors[:, k, :]
-            h = t - self.grid[k]
+            t0 = self.grid[k]
+            h = t - t0
             if h != 0.0:
-                y = _rk4_step(ev, self.mode, self.grid[k], h, y,
-                              self.tau_samples[k], self.tau_samples[k])
+                ref = self.tau_samples[k]
+                y = _rk4_step(self.mode, h, y, ev.at(t0, ref),
+                              ev.at(t0 + 0.5 * h, ref), ev.at(t0 + h, ref))
             out[:, j, :] = y
         return out
-
-
-def _make_rhs(ev: TangentEvaluator, mode: str, t: float, ref):
-    if mode == "curve_normal":
-        tau, tau_p = ev.tau_and_prime(t, ref)
-        return lambda y: -(y @ tau_p)[:, None] * tau[None, :]
-    if mode == "surface_normal":
-        mu, mu_p, _ = _mu_jets(ev, t, ref)
-        return lambda y: -(y @ mu_p)[:, None] * mu[None, :]
-    raise ValueError(f"unknown transport mode {mode!r}")
-
-
-def _rk4_step(ev, mode, t0, h, y, ref_start, ref_end):
-    f0 = _make_rhs(ev, mode, t0, ref_start)
-    fm = _make_rhs(ev, mode, t0 + 0.5 * h, ref_start)
-    f1 = _make_rhs(ev, mode, t0 + h, ref_end)
-    k1 = f0(y)
-    k2 = fm(y + 0.5 * h * k1)
-    k3 = fm(y + 0.5 * h * k2)
-    k4 = f1(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _ortho_basis_at(ev, mode, t, ref):
-    """Vectors the transported fields must stay orthogonal to."""
-    if mode == "curve_normal":
-        tau, _ = ev.tau_and_prime(t, ref)
-        return [tau]
-    mu, _, _ = _mu_jets(ev, t, ref)
-    tau = ev.tau(t, ref)
-    return [tau, mu]
 
 
 def _gram_deviation(rows) -> float:
@@ -149,19 +126,34 @@ def _gram_deviation(rows) -> float:
 
 
 def _transport(curve, grid, ref_taus, seeds, mode, renormalize, drift_limit,
-               reverse):
+               reverse) -> ParallelFields:
+    """RK4 transport of orthonormal seeds along the grid; each step reuses
+    the record at its end as the next step's start and as the basis the
+    fields are checked and renormalized against."""
+    grid = np.asarray(grid, dtype=float)
+    ref_taus = np.asarray(ref_taus, dtype=float)
     ev = TangentEvaluator(curve)
     n = len(grid)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    idx = list(order)
-    vectors = np.empty((len(seeds), n, curve.dim))
-    y = np.array(seeds, dtype=float)
+    idx = list(range(n - 1, -1, -1) if reverse else range(n))
+    d = ev.at(grid[idx[0]], ref_taus[idx[0]])
+    y = np.atleast_2d(np.asarray(seeds, dtype=float))
+    if _gram_deviation(_connection(mode, d)[2] + list(y)) > _SEED_ORTHO_TOL:
+        raise ValueError(
+            f"initial {mode.replace('_', '-')} vectors must be orthonormal "
+            f"and orthogonal to the frame at the start point (tolerance "
+            f"{_SEED_ORTHO_TOL:g})"
+        )
+    vectors = np.empty((len(y), n, curve.dim))
     vectors[:, idx[0], :] = y
     drift_max = 0.0
     for a, b in zip(idx[:-1], idx[1:]):
         t0, t1 = grid[a], grid[b]
-        y = _rk4_step(ev, mode, t0, t1 - t0, y, ref_taus[a], ref_taus[b])
-        basis = _ortho_basis_at(ev, mode, t1, ref_taus[b])
+        h = t1 - t0
+        dm = ev.at(t0 + 0.5 * h, ref_taus[a])
+        d1 = ev.at(t1, ref_taus[b])
+        y = _rk4_step(mode, h, y, d, dm, d1)
+        d = d1
+        basis = _connection(mode, d)[2]
         drift = _gram_deviation(basis + list(y))
         drift_max = max(drift_max, drift)
         if drift > drift_limit:
@@ -177,20 +169,12 @@ def _transport(curve, grid, ref_taus, seeds, mode, renormalize, drift_limit,
                 )
             y = np.array(fixed)
         vectors[:, b, :] = y
-    final_basis = _ortho_basis_at(ev, mode, grid[idx[-1]], ref_taus[idx[-1]])
-    final_dev = _gram_deviation(final_basis + list(y))
-    return vectors, drift_max, final_dev
-
-
-def _validate_seeds(seeds, against, label):
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    rows = list(against) + list(seeds)
-    if _gram_deviation(rows) > _SEED_ORTHO_TOL:
-        raise ValueError(
-            f"initial {label} vectors must be orthonormal and orthogonal "
-            f"to the frame at the start point (tolerance {_SEED_ORTHO_TOL:g})"
-        )
-    return seeds
+    final_dev = _gram_deviation(_connection(mode, d)[2] + list(y))
+    return ParallelFields(
+        curve=curve, grid=grid, vectors=vectors, tau_samples=ref_taus,
+        mode=mode, gram_drift_max=drift_max, final_gram_dev=final_dev,
+        renormalized=renormalize,
+    )
 
 
 def bishop_transport(tau_field: TangentField, nu0, renormalize: bool = True,
@@ -202,21 +186,8 @@ def bishop_transport(tau_field: TangentField, nu0, renormalize: bool = True,
     field's grid; the result is the unique parallel extension of the
     initial vectors. ``reverse=True`` starts from the last grid point.
     """
-    curve = tau_field.curve
-    grid = tau_field.grid
-    start = -1 if reverse else 0
-    ev = TangentEvaluator(curve)
-    tau0, _ = ev.tau_and_prime(grid[start], tau_field.tau[start])
-    seeds = _validate_seeds(nu0, [tau0], "normal")
-    vectors, drift_max, final_dev = _transport(
-        curve, grid, tau_field.tau, seeds, "curve_normal", renormalize,
-        drift_limit, reverse,
-    )
-    return ParallelFields(
-        curve=curve, grid=grid, vectors=vectors, tau_samples=tau_field.tau,
-        mode="curve_normal", gram_drift_max=drift_max,
-        final_gram_dev=final_dev, renormalized=renormalize,
-    )
+    return _transport(tau_field.curve, tau_field.grid, tau_field.tau, nu0,
+                      "curve_normal", renormalize, drift_limit, reverse)
 
 
 def surface_normal_transport(curve, grid, ref_taus, seeds,
@@ -224,20 +195,8 @@ def surface_normal_transport(curve, grid, ref_taus, seeds,
                              drift_limit: float = DEFAULT_DRIFT_LIMIT,
                              reverse: bool = False) -> ParallelFields:
     """Transport vectors parallel for the tangent surface's normal bundle."""
-    ev = TangentEvaluator(curve)
-    start = -1 if reverse else 0
-    basis = _ortho_basis_at(ev, "surface_normal", grid[start], ref_taus[start])
-    seeds = _validate_seeds(seeds, basis, "surface-normal")
-    vectors, drift_max, final_dev = _transport(
-        curve, grid, ref_taus, seeds, "surface_normal", renormalize,
-        drift_limit, reverse,
-    )
-    return ParallelFields(
-        curve=curve, grid=np.asarray(grid, dtype=float), vectors=vectors,
-        tau_samples=np.asarray(ref_taus, dtype=float), mode="surface_normal",
-        gram_drift_max=drift_max, final_gram_dev=final_dev,
-        renormalized=renormalize,
-    )
+    return _transport(curve, grid, ref_taus, seeds, "surface_normal",
+                      renormalize, drift_limit, reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +246,9 @@ def adapted_frame(curve: Curve, grid, nu0=None, k_max: int = DEFAULT_K_MAX,
     mu = np.empty((n, d))
     kappa = np.empty(n)
     for i, t in enumerate(grid):
-        mu[i], _, kappa[i] = _mu_jets(ev, t, tf.tau[i])
+        data = ev.at(t, tf.tau[i])
+        mu[i] = data.normal()[0]
+        kappa[i] = data.kappa
     if kappa.max() <= 0.0:
         raise InflectionError("inflection point in range: straight segment")
     if kappa.min() < inflection_rel_tol * kappa.max():
@@ -340,9 +301,10 @@ def invariants(curve: Curve, frame: AdaptedFrame) -> InvariantProfile:
     a = np.empty(n)
     ells = np.empty((frame.n_normals, n))
     for i, t in enumerate(frame.grid):
-        a[i] = float(np.dot(ev.fprime(t), frame.tau[i]))
+        d = ev.at(t, frame.tau[i])
+        a[i] = float(np.dot(d.fprime, frame.tau[i]))
         if frame.n_normals:
-            _, mu_p, _ = _mu_jets(ev, t, frame.tau[i])
+            mu_p = d.normal()[1]
             for j in range(frame.n_normals):
                 ells[j, i] = float(np.dot(mu_p, frame.nus[j, i]))
     return InvariantProfile(grid=frame.grid, a=a, kappa=frame.kappa.copy(),
@@ -367,9 +329,9 @@ def bishop_invariants(curve: Curve, fields: ParallelFields) -> BishopInvariants:
     a = np.empty(n)
     kappas = np.empty((fields.n_fields, n))
     for i, t in enumerate(fields.grid):
-        tau, tau_p = ev.tau_and_prime(t, fields.tau_samples[i])
-        a[i] = float(np.dot(ev.fprime(t), tau))
-        kappas[:, i] = fields.vectors[:, i, :] @ tau_p
+        d = ev.at(t, fields.tau_samples[i])
+        a[i] = float(np.dot(d.fprime, d.tau))
+        kappas[:, i] = fields.vectors[:, i, :] @ d.tau_p
     return BishopInvariants(grid=fields.grid, a=a, kappas=kappas)
 
 
@@ -389,62 +351,52 @@ def _scaled_max(residual_rows: np.ndarray, derivative_rows: np.ndarray) -> float
     return float((np.linalg.norm(residual_rows, axis=-1) / scale).max())
 
 
+def _frame_residuals(grid, fp, a, rows: dict, omega: np.ndarray) -> dict:
+    """Max scaled residuals of ``f' = a tau`` and ``E' = Omega E``.
+
+    ``rows`` maps the name of each frame vector to its samples (N, dim),
+    tau first; ``omega`` is the connection matrix at every sample, shape
+    (r, r, N), whose entry (i, j) is the coefficient of row j in the
+    derivative of row i. Frame derivatives are central differences at
+    the interior samples.
+    """
+    frame = list(rows.values())
+    out = {"f_prime": _scaled_max(fp - a[:, None] * frame[0], fp)}
+    for name, e, coeffs in zip(rows, frame, omega):
+        e_d = _central_diff(e, grid)
+        pred = sum(c[:, None] * e_j for c, e_j in zip(coeffs, frame))[1:-1]
+        out[f"{name}_prime"] = _scaled_max(e_d - pred, e_d)
+    return out
+
+
 def structure_residuals_adapted(curve: Curve, frame: AdaptedFrame,
                                 profile: InvariantProfile) -> dict:
     """Max scaled residuals of the tangent-surface frame system
     tau' = kappa mu, mu' = -kappa tau + sum ell_i nu_i, nu_i' = -ell_i mu,
     f' = a tau, with frame derivatives by central differences at interior
     samples."""
-    grid = frame.grid
     ev = TangentEvaluator(curve)
-    inner = slice(1, -1)
-    out = {}
-
-    fp = np.array([ev.fprime(t) for t in grid])
-    out["f_prime"] = _scaled_max(fp - profile.a[:, None] * frame.tau, fp)
-
-    tau_d = _central_diff(frame.tau, grid)
-    pred = (profile.kappa[:, None] * frame.mu)[inner]
-    out["tau_prime"] = _scaled_max(tau_d - pred, tau_d)
-
-    mu_d = _central_diff(frame.mu, grid)
-    pred = -(profile.kappa[:, None] * frame.tau)[inner]
-    for j in range(frame.n_normals):
-        pred = pred + (profile.ells[j][:, None] * frame.nus[j])[inner]
-    out["mu_prime"] = _scaled_max(mu_d - pred, mu_d)
-
-    for j in range(frame.n_normals):
-        nu_d = _central_diff(frame.nus[j], grid)
-        pred = -(profile.ells[j][:, None] * frame.mu)[inner]
-        out[f"nu{j + 1}_prime"] = _scaled_max(nu_d - pred, nu_d)
-    return out
+    fp = np.array([ev.at(t).fprime for t in frame.grid])
+    rows = {"tau": frame.tau, "mu": frame.mu}
+    rows.update((f"nu{j + 1}", nu) for j, nu in enumerate(frame.nus))
+    omega = np.zeros((len(rows), len(rows), len(frame.grid)))
+    omega[0, 1], omega[1, 0] = profile.kappa, -profile.kappa
+    omega[1, 2:], omega[2:, 1] = profile.ells, -profile.ells
+    return _frame_residuals(frame.grid, fp, profile.a, rows, omega)
 
 
 def structure_residuals_bishop(curve: Curve, fields: ParallelFields,
                                inv: BishopInvariants) -> dict:
     """Max scaled residuals of the curve-normal frame system
     tau' = sum kappa_i nu_i, nu_i' = -kappa_i tau, f' = a tau."""
-    grid = fields.grid
     ev = TangentEvaluator(curve)
-    inner = slice(1, -1)
-    taus = np.empty((len(grid), curve.dim))
-    fp = np.empty_like(taus)
-    for i, t in enumerate(grid):
-        taus[i] = ev.tau(t, fields.tau_samples[i])
-        fp[i] = ev.fprime(t)
-    out = {"f_prime": _scaled_max(fp - inv.a[:, None] * taus, fp)}
-
-    tau_d = _central_diff(taus, grid)
-    pred = np.zeros_like(tau_d)
-    for j in range(fields.n_fields):
-        pred += (inv.kappas[j][:, None] * fields.vectors[j])[inner]
-    out["tau_prime"] = _scaled_max(tau_d - pred, tau_d)
-
-    for j in range(fields.n_fields):
-        nu_d = _central_diff(fields.vectors[j], grid)
-        pred = -(inv.kappas[j][:, None] * taus)[inner]
-        out[f"nu{j + 1}_prime"] = _scaled_max(nu_d - pred, nu_d)
-    return out
+    data = [ev.at(t, ref) for t, ref in zip(fields.grid, fields.tau_samples)]
+    rows = {"tau": np.array([d.tau for d in data])}
+    rows.update((f"nu{j + 1}", nu) for j, nu in enumerate(fields.vectors))
+    omega = np.zeros((len(rows), len(rows), len(fields.grid)))
+    omega[0, 1:], omega[1:, 0] = inv.kappas, -inv.kappas
+    fp = np.array([d.fprime for d in data])
+    return _frame_residuals(fields.grid, fp, inv.a, rows, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +436,23 @@ def inflection_points(curve: Curve, grid, tol: float = 1e-7) -> list:
     """
     grid = np.asarray(grid, dtype=float)
     ev = TangentEvaluator(curve)
-    kappas = np.array([ev.kappa(t) for t in grid])
+
+    def kappa(t):
+        return ev.at(t).kappa
+
+    kappas = np.array([kappa(t) for t in grid])
     below = kappas < tol
     intervals = []
 
     def left_edge(i):
         if i == 0 or not (kappas[i - 1] >= tol):
             return grid[max(i - 1, 0)] if i > 0 else grid[0]
-        return _bisect(lambda t: ev.kappa(t) - tol, grid[i - 1], grid[i])
+        return _bisect(lambda t: kappa(t) - tol, grid[i - 1], grid[i])
 
     def right_edge(i):
         if i == len(grid) - 1 or not (kappas[i + 1] >= tol):
             return grid[min(i + 1, len(grid) - 1)] if i < len(grid) - 1 else grid[-1]
-        return _bisect(lambda t: ev.kappa(t) - tol, grid[i + 1], grid[i])
+        return _bisect(lambda t: kappa(t) - tol, grid[i + 1], grid[i])
 
     i = 0
     while i < len(grid):
@@ -516,10 +472,10 @@ def inflection_points(curve: Curve, grid, tol: float = 1e-7) -> list:
         if below[i - 1] or below[i] or below[i + 1]:
             continue
         if kappas[i] <= kappas[i - 1] and kappas[i] <= kappas[i + 1]:
-            t_min, k_min = _ternary_min(ev.kappa, grid[i - 1], grid[i + 1])
+            t_min, k_min = _ternary_min(kappa, grid[i - 1], grid[i + 1])
             if k_min < tol:
-                lo = _bisect(lambda t: ev.kappa(t) - tol, grid[i - 1], t_min)
-                hi = _bisect(lambda t: ev.kappa(t) - tol, grid[i + 1], t_min)
+                lo = _bisect(lambda t: kappa(t) - tol, grid[i - 1], t_min)
+                hi = _bisect(lambda t: kappa(t) - tol, grid[i + 1], t_min)
                 intervals.append((float(lo), float(hi)))
 
     intervals.sort()
@@ -547,33 +503,17 @@ def tangent_surface_unit_normal(curve: Curve, t: float, order: int = 2):
     """
     if curve.dim != 3:
         raise ValueError("tangent-surface normal implemented for dim == 3")
-    from .frontal import _COEFF_DROP, _shift_jet, _truncate_jet
-
     reserve = 6
     fj = curve.jets(t, order + reserve + 2)
     fp = derivative_jets(fj)
-    fpp = derivative_jets(fj, times=2)
-    fp = [_truncate_jet(j, order + reserve) for j in fp]
-    fpp = [_truncate_jet(j, order + reserve) for j in fpp]
+    fpp = derivative_jets(fp)
+    fp = [Jet(j.base, j.coeffs[:-1]) for j in fp]
     cross = [
         jet_mul(fp[1], fpp[2]) - jet_mul(fp[2], fpp[1]),
         jet_mul(fp[2], fpp[0]) - jet_mul(fp[0], fpp[2]),
         jet_mul(fp[0], fpp[1]) - jet_mul(fp[1], fpp[0]),
     ]
-    coeffs = np.array([j.coeffs for j in cross]).T
-    norms = np.linalg.norm(coeffs, axis=1)
-    scale = norms.max()
-    if scale == 0.0:
-        raise InflectionError(
-            f"tangent-surface normal undetermined at t={t}"
-        )
-    m = int(np.argmax(norms > _COEFF_DROP * scale))
-    shifted = [_truncate_jet(_shift_jet(j, m), order) for j in cross]
-    s2 = None
-    for j in shifted:
-        q = jet_mul(j, j)
-        s2 = q if s2 is None else s2 + q
-    norm = jet_sqrt(s2)
-    nu_jets = [jet_div(j, norm) for j in shifted]
-    value = np.array([j.value for j in nu_jets])
-    return value, nu_jets
+    nu_jets = leading_unit_jets(cross, order)
+    if nu_jets is None:
+        raise InflectionError(f"tangent-surface normal undetermined at t={t}")
+    return np.array([j.value for j in nu_jets]), nu_jets

@@ -16,8 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve
-from .errors import TangentUndeterminedError
-from .jets import Jet, derivative, jet_div, jet_mul, jet_sqrt
+from .errors import (
+    InflectionError,
+    MathPreconditionError,
+    TangentUndeterminedError,
+)
+from .jets import Jet, JetDomainError, derivative, jet_div, jet_mul, jet_sqrt
 from .linalg import (
     DEFAULT_RANK_TOL,
     batched_rank,
@@ -35,39 +39,79 @@ _COEFF_DROP = 1e-9
 DEFAULT_K_MAX = 8
 
 
-def _shift_jet(j: Jet, m: int) -> Jet:
-    """Divide by (t - base)^m structurally (drop the first m coefficients)."""
-    return Jet(j.base, j.coeffs[m:])
-
-
-def _truncate_jet(j: Jet, order: int) -> Jet:
-    return Jet(j.base, j.coeffs[: order + 1])
-
-
-def derivative_jets(jets: list, times: int = 1) -> list:
+def derivative_jets(jets: list) -> list:
     """Formal derivative of each component jet, lowering the order."""
-    out = jets
-    for _ in range(times):
-        new = []
-        for j in out:
-            coeffs = tuple((k + 1) * j.coeffs[k + 1] for k in range(j.order))
-            new.append(Jet(j.base, coeffs if coeffs else (0.0,)))
-        out = new
-    return out
+    return [
+        Jet(j.base, tuple((k + 1) * j.coeffs[k + 1] for k in range(j.order))
+            or (0.0,))
+        for j in jets
+    ]
 
 
-def _coefficient_matrix(jets: list) -> np.ndarray:
-    """Rows = coefficient index, columns = component."""
-    return np.array([j.coeffs for j in jets]).T
-
-
-def _normalize_jet_vector(jets: list) -> list:
+def _normalize_jet_vector(jets: list):
+    """(unit jets, norm jet) of a jet vector; MathPreconditionError when
+    the jets or their squares overflow double precision."""
     s2 = None
     for j in jets:
         q = jet_mul(j, j)
         s2 = q if s2 is None else s2 + q
     norm = jet_sqrt(s2)
-    return [jet_div(j, norm) for j in jets]
+    unit = [jet_div(j, norm) for j in jets]
+    if not all(math.isfinite(c) for j in unit + [norm] for c in j.coeffs):
+        raise MathPreconditionError(
+            f"jets at t={norm.base} overflow double precision"
+        )
+    return unit, norm
+
+
+def leading_unit_jets(jets: list, order: int):
+    """Unit jets, to the given order, of a jet vector with the leading
+    power of ``t - base`` divided out: the first coefficient vector above
+    ``_COEFF_DROP`` times the largest one becomes the value. Returns None
+    when every coefficient vanishes."""
+    coeffs = np.array([j.coeffs for j in jets]).T
+    norms = np.linalg.norm(coeffs, axis=1)
+    scale = norms.max()
+    if scale == 0.0:
+        return None
+    m = int(np.argmax(norms > _COEFF_DROP * scale))
+    shifted = [Jet(j.base, j.coeffs[m:m + order + 1]) for j in jets]
+    return _normalize_jet_vector(shifted)[0]
+
+
+@dataclass(frozen=True)
+class TangentData:
+    """Derivative data of a curve at one parameter value.
+
+    ``tau`` is the unit tangent representative and ``tau_p`` its
+    t-derivative; ``kappa = |tau'|`` and ``mu = tau'/kappa``, with
+    derivative ``mu_p``. Taking kappa nonnegative resolves the
+    (mu, kappa, ells) -> (-mu, -kappa, -ells) ambiguity throughout the
+    package. Where tau' vanishes exactly, ``kappa`` is 0.0 and
+    ``mu``/``mu_p`` are None; read them through :meth:`normal`, which
+    raises :class:`InflectionError` there.
+    """
+
+    t: float
+    fprime: np.ndarray
+    fsecond: np.ndarray
+    tau: np.ndarray
+    tau_p: np.ndarray
+    kappa: float
+    mu: np.ndarray | None
+    mu_p: np.ndarray | None
+
+    def normal(self):
+        """(mu, mu') at t; InflectionError where tau' vanishes."""
+        if self.mu is None:
+            raise InflectionError(
+                f"inflection point in range: |tau'| = 0 at t={self.t}"
+            )
+        return self.mu, self.mu_p
+
+
+def _values(jets: list) -> np.ndarray:
+    return np.array([j.value for j in jets])
 
 
 class TangentEvaluator:
@@ -78,67 +122,49 @@ class TangentEvaluator:
     sign with a neighbouring sample.
     """
 
-    def __init__(self, curve: Curve, k_max: int = DEFAULT_K_MAX,
-                 singular_speed: float = SINGULAR_SPEED):
+    def __init__(self, curve: Curve, k_max: int = DEFAULT_K_MAX):
         self.curve = curve
         self.k_max = k_max
-        self.singular_speed = singular_speed
 
-    def f_jets(self, t: float, order: int) -> list:
-        return self.curve.jets(t, order)
+    def tau_jet_vec(self, t: float, order: int, ref=None, vel=None) -> list:
+        """Jets of the unit tangent representative, to the given order.
 
-    def point(self, t: float) -> np.ndarray:
-        return self.curve.point(t)
-
-    def fprime(self, t: float) -> np.ndarray:
-        jets = derivative_jets(self.f_jets(t, 1))
-        return np.array([j.value for j in jets])
-
-    def fsecond(self, t: float) -> np.ndarray:
-        jets = derivative_jets(self.f_jets(t, 2), times=2)
-        return np.array([j.value for j in jets])
-
-    def velocity_jets(self, t: float, order: int) -> list:
-        return derivative_jets(self.f_jets(t, order + 1))
-
-    def tau_jet_vec(self, t: float, order: int, ref=None) -> list:
-        """Jets of the unit tangent representative, to the given order."""
-        vel = self.velocity_jets(t, order)
-        speed = math.sqrt(sum(j.value ** 2 for j in vel))
-        if speed >= self.singular_speed:
-            jets = vel
+        ``vel`` may pass the velocity jets at t, of the same order, when
+        the caller has already evaluated them.
+        """
+        if vel is None:
+            vel = derivative_jets(self.curve.jets(t, order + 1))
+        if math.hypot(*(j.value for j in vel)) >= SINGULAR_SPEED:
+            tau, _ = _normalize_jet_vector(vel)
         else:
-            vel = self.velocity_jets(t, order + self.k_max)
-            coeffs = _coefficient_matrix(vel)
-            norms = np.linalg.norm(coeffs, axis=1)
-            scale = norms.max()
-            if scale == 0.0:
+            deep = order + self.k_max
+            tau = leading_unit_jets(
+                derivative_jets(self.curve.jets(t, deep + 1)), order
+            )
+            if tau is None:
                 raise TangentUndeterminedError(
                     f"tangent line undetermined at t={t}: all velocity jets "
-                    f"vanish up to order {order + self.k_max}"
+                    f"vanish up to order {deep}"
                 )
-            m = int(np.argmax(norms > _COEFF_DROP * scale))
-            jets = [_truncate_jet(_shift_jet(j, m), order) for j in vel]
-        tau = _normalize_jet_vector(jets)
-        if ref is not None:
-            value = np.array([j.value for j in tau])
-            if float(np.dot(value, np.asarray(ref))) < 0.0:
-                tau = [-j for j in tau]
+        if ref is not None and np.dot(_values(tau), np.asarray(ref)) < 0.0:
+            tau = [-j for j in tau]
         return tau
 
-    def tau(self, t: float, ref=None) -> np.ndarray:
-        return np.array([j.value for j in self.tau_jet_vec(t, 0, ref)])
-
-    def tau_and_prime(self, t: float, ref=None):
-        jets = self.tau_jet_vec(t, 1, ref)
-        tau = np.array([j.value for j in jets])
-        tau_p = np.array([derivative(j, 1) for j in jets])
-        return tau, tau_p
-
-    def kappa(self, t: float) -> float:
-        """Norm of the unit tangent's t-derivative (sign-free)."""
-        _, tau_p = self.tau_and_prime(t)
-        return float(np.linalg.norm(tau_p))
+    def at(self, t: float, ref=None) -> TangentData:
+        """All derivative data at t from one order-3 evaluation of the
+        curve's jets (plus the deeper one at a singular-speed node)."""
+        vel = derivative_jets(self.curve.jets(t, 3))
+        tau = self.tau_jet_vec(t, 2, ref, vel)
+        tau_p = derivative_jets(tau)
+        try:
+            mu_jets, norm = _normalize_jet_vector(tau_p)
+        except JetDomainError:  # tau' = 0 exactly
+            kappa, mu, mu_p = 0.0, None, None
+        else:
+            kappa, mu = norm.value, _values(mu_jets)
+            mu_p = _values(derivative_jets(mu_jets))
+        return TangentData(t, _values(vel), _values(derivative_jets(vel)),
+                           _values(tau), _values(tau_p), kappa, mu, mu_p)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +188,12 @@ def wronskian_matrix(curve: Curve, t0: float, k: int) -> np.ndarray:
     cols = [
         [derivative(j, order) for j in jets] for order in range(1, k + 1)
     ]
-    return np.array(cols).T
+    matrix = np.array(cols).T
+    if not np.isfinite(matrix).all():
+        raise MathPreconditionError(
+            f"derivatives at t={t0} overflow double precision"
+        )
+    return matrix
 
 
 def wronskian_rank(curve: Curve, t0: float, k: int,
@@ -240,7 +271,7 @@ def unit_tangent(curve: Curve, grid, k_max: int = DEFAULT_K_MAX) -> TangentField
     prev_raw = None
     sign = 1.0
     for i, t in enumerate(grid):
-        raw = ev.tau(t)
+        raw = _values(ev.tau_jet_vec(t, 0))
         if prev_raw is not None and float(np.dot(raw, prev_raw)) < 0.0:
             sign = -sign
             flips.append(i)

@@ -56,21 +56,24 @@ class Jet:
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
-            if other.base != self.base or other.order != self.order:
-                raise ValueError("jet base/order mismatch")
+            _check_pair(self, other)
             return other
         return constant(float(other), self.base, self.order)
 
     def __add__(self, other):
-        return jet_add(self, self._coerce(other))
+        other = self._coerce(other)
+        return Jet(self.base,
+                   tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return jet_sub(self, self._coerce(other))
+        other = self._coerce(other)
+        return Jet(self.base,
+                   tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
-        return jet_sub(self._coerce(other), self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         return jet_mul(self, self._coerce(other))
@@ -104,16 +107,6 @@ def _check_pair(a: Jet, b: Jet) -> None:
         raise ValueError("jet base mismatch")
     if a.order != b.order:
         raise ValueError("jet order mismatch")
-
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    _check_pair(a, b)
-    return Jet(a.base, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def jet_sub(a: Jet, b: Jet) -> Jet:
-    _check_pair(a, b)
-    return Jet(a.base, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:

@@ -18,7 +18,7 @@ closed forms for graph-like curves are usually written that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,11 +28,10 @@ from .frames import (
     AdaptedFrame,
     InvariantProfile,
     ParallelFields,
-    TangentEvaluator,
-    _mu_jets,
+    invariants,
     surface_normal_transport,
 )
-from .frontal import TangentField
+from .frontal import TangentEvaluator, TangentField
 from .linalg import DEFAULT_RANK_TOL, batched_rank, orthonormal_column_basis
 
 RULINGS = ("unit", "derivative")
@@ -90,12 +89,13 @@ def _ruling_fields(curve, tau_samples, t_grid, ruling):
     pts = np.empty((n, d))
     for i, t in enumerate(t_grid):
         pts[i] = curve.point(t)
-        fp[i] = ev.fprime(t)
+        data = ev.at(t, tau_samples[i])
+        fp[i] = data.fprime
         if ruling == "unit":
-            r[i], rp[i] = ev.tau_and_prime(t, tau_samples[i])
+            r[i], rp[i] = data.tau, data.tau_p
         else:
             r[i] = fp[i]
-            rp[i] = ev.fsecond(t)
+            rp[i] = data.fsecond
     return pts, fp, r, rp
 
 
@@ -138,9 +138,9 @@ def normal_map(curve: Curve, fields: ParallelFields, t_grid, u_grid,
     ev = TangentEvaluator(curve)
     n, d = len(t_grid), curve.dim
     pts = np.array([curve.point(t) for t in t_grid])
-    fp = np.array([ev.fprime(t) for t in t_grid])
+    fp = np.array([ev.at(t).fprime for t in t_grid])
     nu = fields.vectors  # (p, n, d)
-    nup = np.array([fields.field_derivatives(i) for i in range(p)])
+    nup = fields.field_derivatives()
 
     shape = (n,) + tuple(len(u) for u in u_axes)
     mesh = np.meshgrid(*u_axes, indexing="ij")  # p arrays of shape shape[1:]
@@ -183,10 +183,9 @@ def canal_surface(curve: Curve, fields: ParallelFields, r: float, t_grid,
     _check_grid_match(t_grid, fields.grid, "canal t-grid")
     ev = TangentEvaluator(curve)
     pts = np.array([curve.point(t) for t in t_grid])
-    fp = np.array([ev.fprime(t) for t in t_grid])
+    fp = np.array([ev.at(t).fprime for t in t_grid])
     nu1, nu2 = fields.vectors
-    nu1p = fields.field_derivatives(0)
-    nu2p = fields.field_derivatives(1)
+    nu1p, nu2p = fields.field_derivatives()
     c = np.cos(angle_grid)[None, :, None]
     s = np.sin(angle_grid)[None, :, None]
     points = pts[:, None, :] + r * (c * nu1[:, None, :] + s * nu2[:, None, :])
@@ -198,17 +197,6 @@ def canal_surface(curve: Curve, fields: ParallelFields, r: float, t_grid,
         map_kind="Can", axes=(("t", t_grid), ("theta", angle_grid)),
         points=points, jac_rank=ranks,
     )
-
-
-def _adapted_nu_derivatives(curve, frame: AdaptedFrame) -> np.ndarray:
-    """nu_i' = -(nu_i . mu') mu at the frame's grid nodes."""
-    ev = TangentEvaluator(curve)
-    out = np.empty_like(frame.nus)
-    for i, t in enumerate(frame.grid):
-        mu, mu_p, _ = _mu_jets(ev, t, frame.tau[i])
-        for j in range(frame.n_normals):
-            out[j, i] = -float(np.dot(frame.nus[j, i], mu_p)) * mu
-    return out
 
 
 def _check_offsets(frame_or_profile_normals: int, offsets) -> np.ndarray:
@@ -232,7 +220,7 @@ def parallel_of_tangent(curve: Curve, frame: AdaptedFrame, offsets, t_grid,
     offsets = _check_offsets(frame.n_normals, offsets)
     pts, fp, r, rp = _ruling_fields(curve, frame.tau, t_grid, ruling)
     nu = frame.nus
-    nup = _adapted_nu_derivatives(curve, frame)
+    nup = -invariants(curve, frame).ells[:, :, None] * frame.mu  # -ell_i mu
     offset_vec = np.tensordot(offsets, nu, axes=(0, 0))  # (n, d)
     offset_der = np.tensordot(offsets, nup, axes=(0, 0))
     points = (
@@ -404,12 +392,7 @@ def verify_right_equivalence(pal: SurfaceGrid, directrix_curve: Directrix,
             renormalize=False,
         )
         nbar = back.vectors
-        ev = TangentEvaluator(curve)
-        ells_bar = np.empty((frame.n_normals, len(t_grid)))
-        for i, t in enumerate(t_grid):
-            _, mu_p, _ = _mu_jets(ev, t, frame.tau[i])
-            for j in range(frame.n_normals):
-                ells_bar[j, i] = float(np.dot(mu_p, nbar[j, i]))
+        ells_bar = invariants(curve, replace(frame, nus=nbar)).ells
         shift_bar = np.tensordot(offsets, ells_bar, axes=(0, 0)) / profile.kappa
         pts = np.array([curve.point(t) for t in t_grid])
         g_bar = (
@@ -534,11 +517,10 @@ def normal_flatness_residual(curve: Curve, frame: AdaptedFrame, s_grid,
     checked = skipped = 0
     for i in range(1, len(t_grid) - 1):
         t = t_grid[i]
-        tau, tau_p = ev.tau_and_prime(t, frame.tau[i])
-        fp = ev.fprime(t)
+        d = ev.at(t, frame.tau[i])
         for s in s_grid:
-            jt = fp + s * tau_p
-            jac = np.stack([jt, tau], axis=1)
+            jt = d.fprime + s * d.tau_p
+            jac = np.stack([jt, d.tau], axis=1)
             sv = np.linalg.svd(jac, compute_uv=False)
             if sv[-1] < exclusion:
                 skipped += 1

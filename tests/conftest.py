@@ -86,8 +86,8 @@ def random_cubic_curve(seed=20260809, dim=3, min_kappa=0.02, min_speed=0.2):
                                        (-1.0, 1.0))
         ev = TangentEvaluator(curve)
         ts = np.linspace(-1.0, 1.0, 101)
-        kappas = np.array([ev.kappa(t) for t in ts])
-        speeds = np.array([np.linalg.norm(ev.fprime(t)) for t in ts])
+        kappas = np.array([ev.at(t).kappa for t in ts])
+        speeds = np.array([np.linalg.norm(ev.at(t).fprime) for t in ts])
         if kappas.min() >= min_kappa and speeds.min() >= min_speed:
             return curve
         attempt += 1

@@ -246,6 +246,52 @@ class TestExitCodes:
         assert rows.shape == (31, 4)
 
 
+class TestOverflowInputs:
+    # each curve overflows double precision somewhere in its domain; the
+    # (1e200*t)^2 domain keeps the three load-time validation points
+    # finite, so the overflow is met while the command runs
+    CONFIGS = {
+        "scaled-square": ("[t, 1e200*t^2, t^3]", "[-1, 1]"),
+        "power-400": ("[t, t^2, t^400]", "[-10, 10]"),
+        "squared-scale": ("[t, (1e200*t)^2, t^3]", "[-2e-46, 2e-46]"),
+    }
+    COMMANDS = [
+        ["invariants"],
+        ["bishop"],
+        ["frontality", "--t0", "0.5"],
+        ["verify", "--check", "structure"],
+        ["surface", "--kind", "tan"],
+    ]
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda a: "-".join(a))
+    def test_finite_output_or_precondition_exit(self, tmp_path, config,
+                                                command):
+        components, domain = self.CONFIGS[config]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"name = {config}\ndim = 3\ncomponents = {components}\n"
+            f"domain = {domain}\ngrid.t_steps = 21\ngrid.s_steps = 5\n",
+            encoding="utf-8",
+        )
+        rc, out, err = run_cli(command + ["--config", str(cfg)])
+        assert rc in (0, 2), err
+        if rc == 0:
+            assert "nan" not in out.lower() and "inf" not in out.lower()
+        else:
+            assert "precondition violated" in err
+
+    def test_overflow_at_load_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "name = big\ndim = 3\ncomponents = [t, (1e200*t)^2, t^3]\n"
+            "domain = [-1, 1]\n",
+            encoding="utf-8",
+        )
+        rc, _, err = run_cli(["invariants", "--config", str(cfg)])
+        assert rc == 1 and "overflow" in err
+
+
 class TestDeterminism:
     COMMANDS = [
         ["invariants", "--curve", "example22", "--t-steps", "31"],

@@ -148,7 +148,8 @@ class TestInvariants:
             c = get_curve(cid)
             ev = TangentEvaluator(c)
             for t in c.grid(41):
-                tau, tau_p = ev.tau_and_prime(t)
+                d = ev.at(t)
+                tau, tau_p = d.tau, d.tau_p
                 assert abs(np.dot(tau, tau_p)) <= 1e-9
 
     def test_plane_curve_normal_is_parallel(self):

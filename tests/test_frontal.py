@@ -4,7 +4,7 @@ import pytest
 from conftest import assert_close_upto_sign, gauss_rank
 from frontals.corpus import get_curve, get_entry
 from frontals.curves import ExprCurve
-from frontals.errors import TangentUndeterminedError
+from frontals.errors import InflectionError, TangentUndeterminedError
 from frontals.frontal import (
     TangentEvaluator,
     contact_orders,
@@ -111,7 +111,7 @@ class TestUnitTangent:
             norms = np.linalg.norm(tf.tau, axis=1)
             assert np.abs(norms - 1.0).max() <= 1e-12
             for i, t in enumerate(grid):
-                fp = ev.fprime(t)
+                fp = ev.at(t).fprime
                 resid = fp - np.dot(fp, tf.tau[i]) * tf.tau[i]
                 bound = 1e-8 * max(1.0, np.linalg.norm(fp))
                 assert np.linalg.norm(resid) <= bound
@@ -123,7 +123,7 @@ class TestUnitTangent:
             tf = unit_tangent(c, grid)
             ev = TangentEvaluator(c)
             for i, t in enumerate(grid):
-                fp = ev.fprime(t)
+                fp = ev.at(t).fprime
                 if np.linalg.norm(fp) > 1e-6:
                     raw = fp / np.linalg.norm(fp)
                     assert_close_upto_sign(tf.tau[i], raw, 1e-10)
@@ -134,6 +134,58 @@ class TestUnitTangent:
         tf = unit_tangent(c, grid)
         assert len(tf.sign_flips) == 1
         assert abs(grid[tf.sign_flips[0]]) <= 0.05
+
+
+class TestTangentData:
+    def test_helix_closed_forms(self):
+        c = 0.5
+        w = np.sqrt(1.0 + c * c)
+        helix = ExprCurve.from_sources(
+            "helix05", ("cos(t)", "sin(t)", "0.5*t"), (-1.0, 1.0)
+        )
+        ev = TangentEvaluator(helix)
+        for t in (-0.7, 0.0, 0.3, 1.0):
+            d = ev.at(t)
+            fp = np.array([-np.sin(t), np.cos(t), c])
+            assert d.fprime == pytest.approx(fp, abs=1e-14)
+            assert d.tau == pytest.approx(fp / w, abs=1e-14)
+            assert d.kappa == pytest.approx(1.0 / w, abs=1e-14)
+            mu, mu_p = d.normal()
+            assert mu == pytest.approx([-np.cos(t), -np.sin(t), 0.0],
+                                       abs=1e-14)
+            assert mu_p == pytest.approx([np.sin(t), -np.cos(t), 0.0],
+                                         abs=1e-13)
+
+    def test_singular_node_of_cusp(self):
+        ev = TangentEvaluator(curve_2d("cusp23", ("t^2", "t^3")))
+        d = ev.at(0.0)
+        assert d.fprime == pytest.approx([0.0, 0.0])
+        assert d.tau == pytest.approx([1.0, 0.0], abs=1e-14)
+        assert d.tau_p == pytest.approx([0.0, 1.5], abs=1e-14)
+        assert d.kappa == pytest.approx(1.5, abs=1e-14)
+        mu, mu_p = d.normal()
+        assert mu == pytest.approx([0.0, 1.0], abs=1e-14)
+        assert mu_p == pytest.approx(-d.kappa * d.tau, abs=1e-13)
+
+    def test_reference_sign(self):
+        for c, t in ((get_curve("helix"), 0.4),
+                     (curve_2d("cusp23", ("t^2", "t^3")), 0.0)):
+            ev = TangentEvaluator(c)
+            d = ev.at(t)
+            flipped = ev.at(t, ref=-d.tau)
+            for name in ("tau", "tau_p", "mu", "mu_p"):
+                assert np.array_equal(getattr(flipped, name),
+                                      -getattr(d, name)), name
+            assert flipped.kappa == d.kappa
+            assert np.array_equal(flipped.fprime, d.fprime)
+            assert np.array_equal(flipped.fsecond, d.fsecond)
+
+    def test_inflection_has_no_normal(self):
+        d = TangentEvaluator(curve_2d("cubic", ("t", "t^3"))).at(0.0)
+        assert d.kappa == 0.0
+        assert d.mu is None and d.mu_p is None
+        with pytest.raises(InflectionError, match=r"\|tau'\| = 0 at t=0.0"):
+            d.normal()
 
 
 class TestPropernessScan:

@@ -10,7 +10,6 @@ from frontals.jets import (
     JetDomainError,
     constant,
     derivative,
-    jet_add,
     jet_div,
     jet_elem,
     jet_mul,
@@ -35,7 +34,7 @@ class TestArithmetic:
     def test_add_zero_identity(self):
         x = make_jet([2.0, -1.0, 0.25])
         zero = constant(0.0, 0.0, 2)
-        assert jet_add(x, zero) == x
+        assert x + zero == x
 
     def test_div_geometric_series(self):
         out = jet_div(make_jet([1.0, 0.0, 0.0]), make_jet([1.0, 1.0, 0.0]))
@@ -47,7 +46,7 @@ class TestArithmetic:
 
     def test_base_mismatch(self):
         with pytest.raises(ValueError, match="base"):
-            jet_add(make_jet([1.0, 0.0], base=0.0), make_jet([1.0, 0.0], base=1.0))
+            make_jet([1.0, 0.0], base=0.0) + make_jet([1.0, 0.0], base=1.0)
 
 
 class TestElementary:

@@ -235,17 +235,18 @@ class TestSingularLocus:
         prof = invariants(entry.curve, frame)
         locus = singular_locus_parallel(prof, [0.3])
         curve = entry.curve
-        from frontals.frames import TangentEvaluator, _mu_jets
+        from frontals.frames import TangentEvaluator
 
         ev = TangentEvaluator(curve)
 
         def indicator(i, s):
             t = t_grid[i]
-            tau, tau_p = ev.tau_and_prime(t, frame.tau[i])
-            mu, mu_p, _ = _mu_jets(ev, t, frame.tau[i])
+            d = ev.at(t, frame.tau[i])
+            tau, tau_p = d.tau, d.tau_p
+            mu, mu_p = d.normal()
             nu = frame.nus[0, i]
             nup = -float(np.dot(nu, mu_p)) * mu
-            jt = ev.fprime(t) + s * tau_p + 0.3 * nup
+            jt = d.fprime + s * tau_p + 0.3 * nup
             return float(np.dot(np.cross(jt, tau), np.cross(mu, tau)))
 
         spacing = t_grid[1] - t_grid[0]
@@ -439,8 +440,9 @@ class TestTangentPlaneGeometry:
         ev = TangentEvaluator(entry.curve)
         for i in (3, 10, 17):
             ti = t[i]
-            tau, tau_p = ev.tau_and_prime(ti, frame_t.tau[i])
-            fp = ev.fprime(ti)
+            d = ev.at(ti, frame_t.tau[i])
+            tau, tau_p = d.tau, d.tau_p
+            fp = d.fprime
 
             def plane(s):
                 return np.stack([fp + s * tau_p, tau], axis=1)
@@ -461,8 +463,9 @@ class TestTangentPlaneGeometry:
         s_adj = s[np.argsort(np.abs(s))[1]]  # smallest nonzero offset
         for i in (0, 7, 14, 20):
             ti = t[i]
-            tau, tau_p = ev.tau_and_prime(ti, tf.tau[i])
-            jac = np.stack([ev.fprime(ti) + s_adj * tau_p, tau], axis=1)
+            d = ev.at(ti, tf.tau[i])
+            tau, tau_p = d.tau, d.tau_p
+            jac = np.stack([d.fprime + s_adj * tau_p, tau], axis=1)
             q = orthonormal_column_basis(jac)
             resid = tau - q @ (q.T @ tau)
             assert np.linalg.norm(resid) <= 1e-6
