@@ -148,7 +148,12 @@ def _is_straight(curve, t_grid) -> bool:
     """True when |tau'| < ``_STRAIGHT_KAPPA`` on every node: no adapted
     frame exists, and any constant normal frame is parallel."""
     ev = TangentEvaluator(curve)
-    return all(ev.at(t).kappa < _STRAIGHT_KAPPA for t in t_grid)
+    try:
+        return bool((ev.at(t_grid).kappa < _STRAIGHT_KAPPA).all())
+    except MathPreconditionError:
+        # some node fails: answer as a scan that stops at the first
+        # curved node, which raises only if no curved node comes first
+        return all(ev.at(t).kappa < _STRAIGHT_KAPPA for t in t_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +168,9 @@ def cmd_invariants(args) -> int:
     header = ["t", "a", "kappa"] + [f"ell_{i + 1}" for i in range(q)]
     if _is_straight(curve, t_grid):
         tf = unit_tangent(curve, t_grid)
-        ev = TangentEvaluator(curve)
-        a = np.array([float(np.dot(ev.at(t).fprime, tf.tau[i]))
-                      for i, t in enumerate(t_grid)])
+        fp = TangentEvaluator(curve).at(t_grid).fprime
+        a = np.array([float(np.dot(fp[i], tf.tau[i]))
+                      for i in range(len(t_grid))])
         rows = [[t_grid[i], a[i], 0.0] + [0.0] * q for i in range(len(t_grid))]
     else:
         frame = adapted_frame(curve, t_grid, nu0=ctx.frame_seed(t_grid[0]))

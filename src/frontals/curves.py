@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, MathPreconditionError
 from .expressions import eval_jet, eval_real, parse, to_source
-from .jets import Jet
+from .jets import Jet, JetArray
 
 
 class CurveDefinitionError(ConfigError):
@@ -40,8 +40,10 @@ class Curve:
     def point(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def jets(self, t0: float, order: int) -> list:
-        """Component jets of the given order about t0."""
+    def jets(self, t0, order: int) -> list:
+        """Component jets of the given order about t0: one :class:`Jet`
+        per component for a scalar t0, one :class:`JetArray` per
+        component for an array of base points."""
         raise NotImplementedError
 
     def points(self, ts) -> np.ndarray:
@@ -92,8 +94,9 @@ class ExprCurve(Curve):
     def point(self, t: float) -> np.ndarray:
         return np.array([eval_real(c, t) for c in self.components])
 
-    def jets(self, t0: float, order: int) -> list:
-        return [eval_jet(c, t0, order) for c in self.components]
+    def jets(self, t0, order: int) -> list:
+        with np.errstate(all="ignore"):
+            return [eval_jet(c, t0, order) for c in self.components]
 
 
 class CallableCurve(Curve):
@@ -107,7 +110,17 @@ class CallableCurve(Curve):
     def point(self, t: float) -> np.ndarray:
         return np.asarray(self._point_fn(float(t)), dtype=float)
 
-    def jets(self, t0: float, order: int) -> list:
+    def jets(self, t0, order: int) -> list:
+        if not isinstance(t0, np.ndarray):
+            return self._point_jets(t0, order)
+        # the callable is scalar: evaluate the base points one at a time
+        ts = np.asarray(t0, dtype=float)
+        per_point = [self._point_jets(t, order) for t in ts.tolist()]
+        coeffs = np.array([[j.coeffs for j in js] for js in per_point])
+        coeffs = coeffs.reshape(len(ts), self.dim, order + 1)
+        return [JetArray(ts, coeffs[:, i, :].T) for i in range(self.dim)]
+
+    def _point_jets(self, t0, order: int) -> list:
         js = self._jets_fn(float(t0), int(order))
         if len(js) != self.dim or any(not isinstance(j, Jet) for j in js):
             raise RuntimeError("jet callable returned malformed jets")

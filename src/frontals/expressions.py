@@ -372,11 +372,14 @@ def eval_real(e: Expr, t: float) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_jet(e: Expr, t0: float, order: int) -> Jet:
+def eval_jet(e: Expr, t0, order: int) -> Jet:
     """Evaluate as a jet of the given order about t0.
 
     The result equals the Taylor expansion of the expression's function
     at t0; in particular ``eval_jet(e, t, 0).value == eval_real(e, t)``.
+    An array t0 gives a :class:`~frontals.jets.JetArray` over all its
+    points from one pass over the tree; a domain error at any point
+    raises, with the same message as at that point alone.
     """
     if isinstance(e, Const):
         return constant(e.value, t0, order)

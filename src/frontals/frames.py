@@ -17,10 +17,14 @@ before renormalization is recorded as a quality metric, and a step whose
 drift exceeds the limit is rejected as a too-coarse-grid signal.
 
 Tangent and frame derivatives at arbitrary parameter values come from
-:meth:`TangentEvaluator.at`, one record per parameter value built from
-jets of the curve (exact at the evaluation point), not from grid
-differencing; only fields that exist purely as ODE samples are ever
-differentiated by finite differences (elsewhere in the package).
+:meth:`TangentEvaluator.at`, built from jets of the curve (exact at the
+evaluation points), not from grid differencing; only fields that exist
+purely as ODE samples are ever differentiated by finite differences
+(elsewhere in the package). ``at`` takes the whole grid in one call: a
+transport evaluates its nodes and step midpoints up front, in the order
+the steps visit them, and the RK4 loop then reads one record per point.
+Reductions over the dim axis (dot products, ``y @ b``) stay per node so
+their rounding is that of a single vector.
 """
 
 from __future__ import annotations
@@ -90,32 +94,33 @@ class ParallelFields:
     def n_fields(self) -> int:
         return self.vectors.shape[0]
 
-    def field_derivatives(self) -> np.ndarray:
-        """Exact ODE right-hand side at the grid nodes for every field.
-        Returns shape (n_fields, n_samples, dim)."""
-        ev = TangentEvaluator(self.curve)
+    def field_derivatives(self, data: TangentData) -> np.ndarray:
+        """Exact ODE right-hand side at the grid nodes for every field,
+        from the grid's record ``data = TangentEvaluator(curve).at(grid,
+        tau_samples)``. Returns shape (n_fields, n_samples, dim)."""
         out = np.empty_like(self.vectors)
-        for i, t in enumerate(self.grid):
-            d = ev.at(t, self.tau_samples[i])
-            out[:, i, :] = _rhs(self.mode, d, self.vectors[:, i, :])
+        for i in range(len(self.grid)):
+            out[:, i, :] = _rhs(self.mode, data[i], self.vectors[:, i, :])
         return out
 
     def eval_at(self, ts) -> np.ndarray:
         """Evaluate the fields off-grid by a short RK4 step from the
         nearest node. Returns shape (n_fields, len(ts), dim)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ev = TangentEvaluator(self.curve)
-        out = np.empty((self.n_fields, len(ts), self.curve.dim))
-        for j, t in enumerate(ts):
-            k = int(np.argmin(np.abs(self.grid - t)))
-            y = self.vectors[:, k, :]
-            t0 = self.grid[k]
-            h = t - t0
-            if h != 0.0:
-                ref = self.tau_samples[k]
-                y = _rk4_step(self.mode, h, y, ev.at(t0, ref),
-                              ev.at(t0 + 0.5 * h, ref), ev.at(t0 + h, ref))
-            out[:, j, :] = y
+        nearest = np.argmin(np.abs(self.grid[None, :] - ts[:, None]), axis=1)
+        t0 = self.grid[nearest]
+        h = ts - t0
+        off = np.flatnonzero(h != 0.0)
+        # start, middle and end of every step, in the order the steps run
+        points = np.stack([t0[off], t0[off] + 0.5 * h[off],
+                           t0[off] + h[off]], axis=1).ravel()
+        refs = np.repeat(self.tau_samples[nearest[off]], 3, axis=0)
+        data = TangentEvaluator(self.curve).at(points, refs)
+        out = self.vectors[:, nearest, :].copy()
+        for m, j in enumerate(off):
+            out[:, j, :] = _rk4_step(self.mode, h[j], out[:, j, :],
+                                     data[3 * m], data[3 * m + 1],
+                                     data[3 * m + 2])
         return out
 
 
@@ -132,10 +137,19 @@ def _transport(curve, grid, ref_taus, seeds, mode, renormalize, drift_limit,
     fields are checked and renormalized against."""
     grid = np.asarray(grid, dtype=float)
     ref_taus = np.asarray(ref_taus, dtype=float)
-    ev = TangentEvaluator(curve)
     n = len(grid)
-    idx = list(range(n - 1, -1, -1) if reverse else range(n))
-    d = ev.at(grid[idx[0]], ref_taus[idx[0]])
+    idx = np.arange(n - 1, -1, -1) if reverse else np.arange(n)
+    # records at the start node, then each step's midpoint and end node
+    t0 = grid[idx[:-1]]
+    hs = grid[idx[1:]] - t0
+    points = np.empty(2 * n - 1)
+    points[0::2] = grid[idx]
+    points[1::2] = t0 + 0.5 * hs
+    refs = np.empty((2 * n - 1, curve.dim))
+    refs[0::2] = ref_taus[idx]
+    refs[1::2] = ref_taus[idx[:-1]]
+    data = TangentEvaluator(curve).at(points, refs)
+    d = data[0]
     y = np.atleast_2d(np.asarray(seeds, dtype=float))
     if _gram_deviation(_connection(mode, d)[2] + list(y)) > _SEED_ORTHO_TOL:
         raise ValueError(
@@ -146,12 +160,10 @@ def _transport(curve, grid, ref_taus, seeds, mode, renormalize, drift_limit,
     vectors = np.empty((len(y), n, curve.dim))
     vectors[:, idx[0], :] = y
     drift_max = 0.0
-    for a, b in zip(idx[:-1], idx[1:]):
-        t0, t1 = grid[a], grid[b]
-        h = t1 - t0
-        dm = ev.at(t0 + 0.5 * h, ref_taus[a])
-        d1 = ev.at(t1, ref_taus[b])
-        y = _rk4_step(mode, h, y, d, dm, d1)
+    for step, b in enumerate(idx[1:]):
+        t1 = grid[b]
+        d1 = data[2 * step + 2]
+        y = _rk4_step(mode, hs[step], y, d, data[2 * step + 1], d1)
         d = d1
         basis = _connection(mode, d)[2]
         drift = _gram_deviation(basis + list(y))
@@ -241,14 +253,10 @@ def adapted_frame(curve: Curve, grid, nu0=None, k_max: int = DEFAULT_K_MAX,
     """
     grid = np.asarray(grid, dtype=float)
     tf = unit_tangent(curve, grid, k_max=k_max)
-    ev = TangentEvaluator(curve, k_max=k_max)
+    data = TangentEvaluator(curve, k_max=k_max).at(grid, tf.tau)
+    mu = data.normal()[0]
+    kappa = data.kappa
     n, d = len(grid), curve.dim
-    mu = np.empty((n, d))
-    kappa = np.empty(n)
-    for i, t in enumerate(grid):
-        data = ev.at(t, tf.tau[i])
-        mu[i] = data.normal()[0]
-        kappa[i] = data.kappa
     if kappa.max() <= 0.0:
         raise InflectionError("inflection point in range: straight segment")
     if kappa.min() < inflection_rel_tol * kappa.max():
@@ -296,17 +304,15 @@ class InvariantProfile:
 
 
 def invariants(curve: Curve, frame: AdaptedFrame) -> InvariantProfile:
-    ev = TangentEvaluator(curve)
+    d = TangentEvaluator(curve).at(frame.grid, frame.tau)
     n = len(frame.grid)
-    a = np.empty(n)
+    a = np.array([float(np.dot(d.fprime[i], frame.tau[i])) for i in range(n)])
     ells = np.empty((frame.n_normals, n))
-    for i, t in enumerate(frame.grid):
-        d = ev.at(t, frame.tau[i])
-        a[i] = float(np.dot(d.fprime, frame.tau[i]))
-        if frame.n_normals:
-            mu_p = d.normal()[1]
+    if frame.n_normals:
+        mu_p = d.normal()[1]
+        for i in range(n):
             for j in range(frame.n_normals):
-                ells[j, i] = float(np.dot(mu_p, frame.nus[j, i]))
+                ells[j, i] = float(np.dot(mu_p[i], frame.nus[j, i]))
     return InvariantProfile(grid=frame.grid, a=a, kappa=frame.kappa.copy(),
                             ells=ells)
 
@@ -324,14 +330,12 @@ class BishopInvariants:
 def bishop_invariants(curve: Curve, fields: ParallelFields) -> BishopInvariants:
     if fields.mode != "curve_normal":
         raise ValueError("bishop invariants need curve-normal parallel fields")
-    ev = TangentEvaluator(curve)
+    d = TangentEvaluator(curve).at(fields.grid, fields.tau_samples)
     n = len(fields.grid)
-    a = np.empty(n)
+    a = np.array([float(np.dot(d.fprime[i], d.tau[i])) for i in range(n)])
     kappas = np.empty((fields.n_fields, n))
-    for i, t in enumerate(fields.grid):
-        d = ev.at(t, fields.tau_samples[i])
-        a[i] = float(np.dot(d.fprime, d.tau))
-        kappas[:, i] = fields.vectors[:, i, :] @ d.tau_p
+    for i in range(n):
+        kappas[:, i] = fields.vectors[:, i, :] @ d.tau_p[i]
     return BishopInvariants(grid=fields.grid, a=a, kappas=kappas)
 
 
@@ -375,8 +379,7 @@ def structure_residuals_adapted(curve: Curve, frame: AdaptedFrame,
     tau' = kappa mu, mu' = -kappa tau + sum ell_i nu_i, nu_i' = -ell_i mu,
     f' = a tau, with frame derivatives by central differences at interior
     samples."""
-    ev = TangentEvaluator(curve)
-    fp = np.array([ev.at(t).fprime for t in frame.grid])
+    fp = TangentEvaluator(curve).at(frame.grid).fprime
     rows = {"tau": frame.tau, "mu": frame.mu}
     rows.update((f"nu{j + 1}", nu) for j, nu in enumerate(frame.nus))
     omega = np.zeros((len(rows), len(rows), len(frame.grid)))
@@ -389,14 +392,12 @@ def structure_residuals_bishop(curve: Curve, fields: ParallelFields,
                                inv: BishopInvariants) -> dict:
     """Max scaled residuals of the curve-normal frame system
     tau' = sum kappa_i nu_i, nu_i' = -kappa_i tau, f' = a tau."""
-    ev = TangentEvaluator(curve)
-    data = [ev.at(t, ref) for t, ref in zip(fields.grid, fields.tau_samples)]
-    rows = {"tau": np.array([d.tau for d in data])}
+    data = TangentEvaluator(curve).at(fields.grid, fields.tau_samples)
+    rows = {"tau": data.tau}
     rows.update((f"nu{j + 1}", nu) for j, nu in enumerate(fields.vectors))
     omega = np.zeros((len(rows), len(rows), len(fields.grid)))
     omega[0, 1:], omega[1:, 0] = inv.kappas, -inv.kappas
-    fp = np.array([d.fprime for d in data])
-    return _frame_residuals(fields.grid, fp, inv.a, rows, omega)
+    return _frame_residuals(fields.grid, data.fprime, inv.a, rows, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +441,7 @@ def inflection_points(curve: Curve, grid, tol: float = 1e-7) -> list:
     def kappa(t):
         return ev.at(t).kappa
 
-    kappas = np.array([kappa(t) for t in grid])
+    kappas = ev.at(grid).kappa
     below = kappas < tol
     intervals = []
 

@@ -6,6 +6,15 @@ derivative columns, and produces that tangent field. At points where the
 velocity vanishes the tangent direction is recovered structurally from
 the jet of the velocity: the leading nonzero coefficient vector of
 ``f'(t0 + h)`` spans the limiting tangent line.
+
+:meth:`TangentEvaluator.at` and :meth:`TangentEvaluator.tau_jet_vec` take
+one parameter value or an array of them. An array is evaluated as a
+whole grid: one :meth:`Curve.jets` call gives :class:`JetArray` jets at
+every node, and the normalizations run on all regular nodes at once.
+Only nodes whose speed is below ``SINGULAR_SPEED`` are re-evaluated one
+at a time to a deeper order. Each node's result is bit for bit the one
+it gets when evaluated alone, and an error names the first failing node
+in array order, as a loop over the nodes would.
 """
 
 from __future__ import annotations
@@ -21,7 +30,16 @@ from .errors import (
     MathPreconditionError,
     TangentUndeterminedError,
 )
-from .jets import Jet, JetDomainError, derivative, jet_div, jet_mul, jet_sqrt
+from .jets import (
+    Jet,
+    JetArray,
+    derivative,
+    jet_derivative,
+    jet_div,
+    jet_ldexp,
+    jet_mul,
+    jet_sqrt,
+)
 from .linalg import (
     DEFAULT_RANK_TOL,
     batched_rank,
@@ -41,27 +59,39 @@ DEFAULT_K_MAX = 8
 
 def derivative_jets(jets: list) -> list:
     """Formal derivative of each component jet, lowering the order."""
-    return [
-        Jet(j.base, tuple((k + 1) * j.coeffs[k + 1] for k in range(j.order))
-            or (0.0,))
-        for j in jets
-    ]
+    return [jet_derivative(j) for j in jets]
 
 
+def _overflow_error(t) -> MathPreconditionError:
+    return MathPreconditionError(
+        f"jets at t={float(t)} overflow double precision"
+    )
+
+
+@np.errstate(all="ignore")
 def _normalize_jet_vector(jets: list):
-    """(unit jets, norm jet) of a jet vector; MathPreconditionError when
-    the jets or their squares overflow double precision."""
+    """(unit jets, norm jet, finite) of a vector of Jets or JetArrays.
+
+    The jets are scaled by a power of two taken from their largest value
+    coefficient before squaring, so a tiny nonzero norm does not underflow
+    to zero, and the norm is scaled back. ``finite`` is False (per node
+    for JetArrays) where the unit jets, the norm or the unscaled squares
+    overflow double precision.
+    """
+    values = np.array([j.value for j in jets])
+    exponent = np.frexp(np.abs(values).max(axis=0))[1]
+    scaled = [jet_ldexp(j, -exponent) for j in jets]
     s2 = None
-    for j in jets:
+    for j in scaled:
         q = jet_mul(j, j)
         s2 = q if s2 is None else s2 + q
     norm = jet_sqrt(s2)
-    unit = [jet_div(j, norm) for j in jets]
-    if not all(math.isfinite(c) for j in unit + [norm] for c in j.coeffs):
-        raise MathPreconditionError(
-            f"jets at t={norm.base} overflow double precision"
-        )
-    return unit, norm
+    unit = [jet_div(j, norm) for j in scaled]
+    norm = jet_ldexp(norm, exponent)
+    checked = np.array([j.coeffs for j in unit + [norm]]
+                       + [jet_ldexp(s2, 2 * exponent).coeffs])
+    finite = np.isfinite(checked).all(axis=(0, 1))
+    return unit, norm, finite
 
 
 def leading_unit_jets(jets: list, order: int):
@@ -76,12 +106,16 @@ def leading_unit_jets(jets: list, order: int):
         return None
     m = int(np.argmax(norms > _COEFF_DROP * scale))
     shifted = [Jet(j.base, j.coeffs[m:m + order + 1]) for j in jets]
-    return _normalize_jet_vector(shifted)[0]
+    unit, norm, finite = _normalize_jet_vector(shifted)
+    if not finite:
+        raise _overflow_error(norm.base)
+    return unit
 
 
 @dataclass(frozen=True)
 class TangentData:
-    """Derivative data of a curve at one parameter value.
+    """Derivative data of a curve at one parameter value, or at each of
+    an array of them.
 
     ``tau`` is the unit tangent representative and ``tau_p`` its
     t-derivative; ``kappa = |tau'|`` and ``mu = tau'/kappa``, with
@@ -90,6 +124,10 @@ class TangentData:
     package. Where tau' vanishes exactly, ``kappa`` is 0.0 and
     ``mu``/``mu_p`` are None; read them through :meth:`normal`, which
     raises :class:`InflectionError` there.
+
+    A record of N nodes carries the node axis first: ``t`` and ``kappa``
+    have shape (N,), the vectors (N, dim), and ``mu``/``mu_p`` hold NaN
+    rows where they are undefined. ``record[i]`` is the record of node i.
     """
 
     t: float
@@ -101,21 +139,48 @@ class TangentData:
     mu: np.ndarray | None
     mu_p: np.ndarray | None
 
+    def __getitem__(self, i: int) -> "TangentData":
+        defined = not np.isnan(self.mu[i, 0])
+        return TangentData(
+            float(self.t[i]), self.fprime[i], self.fsecond[i], self.tau[i],
+            self.tau_p[i], float(self.kappa[i]),
+            self.mu[i] if defined else None,
+            self.mu_p[i] if defined else None,
+        )
+
     def normal(self):
-        """(mu, mu') at t; InflectionError where tau' vanishes."""
+        """(mu, mu') at t; InflectionError where tau' vanishes (at the
+        first such node of an array record)."""
         if self.mu is None:
             raise InflectionError(
                 f"inflection point in range: |tau'| = 0 at t={self.t}"
             )
+        if np.ndim(self.t):
+            undefined = np.isnan(self.mu[:, 0])
+            if undefined.any():
+                return self[int(np.argmax(undefined))].normal()
         return self.mu, self.mu_p
 
 
 def _values(jets: list) -> np.ndarray:
-    return np.array([j.value for j in jets])
+    """Value coefficients of a jet vector: (dim,) for Jets, (N, dim) for
+    JetArrays."""
+    return np.ascontiguousarray(np.array([j.value for j in jets]).T)
+
+
+def _subset(jets: list, mask: np.ndarray) -> list:
+    """The JetArrays restricted to the masked nodes, sharing one base."""
+    base = jets[0].base[mask]
+    return [JetArray(base, j.coeffs[:, mask]) for j in jets]
+
+
+def _first(failures: list):
+    """The failure (node index, error) of the lowest node, else None."""
+    return min(failures, key=lambda f: f[0], default=None)
 
 
 class TangentEvaluator:
-    """Pointwise jets of a curve's unit tangent line field.
+    """Jets of a curve's unit tangent line field at parameter values.
 
     The representative returned at each query is normalized from the
     leading jet coefficient of the velocity; pass ``ref`` to align its
@@ -126,45 +191,92 @@ class TangentEvaluator:
         self.curve = curve
         self.k_max = k_max
 
-    def tau_jet_vec(self, t: float, order: int, ref=None, vel=None) -> list:
-        """Jets of the unit tangent representative, to the given order.
+    def _nodes(self, t, ref):
+        """Parameter values as an array, and the sign references as one
+        row per value (or None)."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        if ref is None:
+            return ts, None
+        return ts, np.reshape(ref, (len(ts), self.curve.dim))
 
-        ``vel`` may pass the velocity jets at t, of the same order, when
-        the caller has already evaluated them.
-        """
-        if vel is None:
-            vel = derivative_jets(self.curve.jets(t, order + 1))
-        if math.hypot(*(j.value for j in vel)) >= SINGULAR_SPEED:
-            tau, _ = _normalize_jet_vector(vel)
-        else:
-            deep = order + self.k_max
-            tau = leading_unit_jets(
-                derivative_jets(self.curve.jets(t, deep + 1)), order
-            )
-            if tau is None:
-                raise TangentUndeterminedError(
-                    f"tangent line undetermined at t={t}: all velocity jets "
-                    f"vanish up to order {deep}"
+    def _tau(self, ts: np.ndarray, order: int, refs, vel: list):
+        """(unit tangent JetArrays, first failure) at the nodes ``ts``
+        from the velocity JetArrays ``vel`` of the given order."""
+        n, dim = len(ts), len(vel)
+        speed = np.array([math.hypot(*v) for v in _values(vel).tolist()])
+        regular = speed >= SINGULAR_SPEED
+        coeffs = np.zeros((dim, order + 1, n))
+        failures = []
+        if regular.any():
+            unit, _, finite = _normalize_jet_vector(_subset(vel, regular))
+            coeffs[:, :, regular] = [j.coeffs for j in unit]
+            bad = np.flatnonzero(regular)[~finite]
+            if bad.size:
+                failures.append((bad[0], _overflow_error(ts[bad[0]])))
+        deep = order + self.k_max
+        for i in np.flatnonzero(~regular):
+            t = float(ts[i])
+            try:
+                unit = leading_unit_jets(
+                    derivative_jets(self.curve.jets(t, deep + 1)), order
                 )
-        if ref is not None and np.dot(_values(tau), np.asarray(ref)) < 0.0:
-            tau = [-j for j in tau]
-        return tau
+                if unit is None:
+                    raise TangentUndeterminedError(
+                        f"tangent line undetermined at t={t}: all velocity "
+                        f"jets vanish up to order {deep}"
+                    )
+            except MathPreconditionError as exc:
+                failures.append((i, exc))
+                break
+            coeffs[:, :, i] = [j.coeffs for j in unit]
+        if refs is not None:
+            raw = np.ascontiguousarray(coeffs[:, 0, :].T)
+            flip = [np.dot(r, ref) < 0.0 for r, ref in zip(raw, refs)]
+            coeffs[:, :, flip] = -coeffs[:, :, flip]
+        return [JetArray(ts, c) for c in coeffs], _first(failures)
 
-    def at(self, t: float, ref=None) -> TangentData:
+    def tau_jet_vec(self, t, order: int) -> list:
+        """Jets of the unit tangent representative, to the given order:
+        Jets at a parameter value, JetArrays at an array of them."""
+        ts, _ = self._nodes(t, None)
+        vel = derivative_jets(self.curve.jets(ts, order + 1))
+        tau, failure = self._tau(ts, order, None, vel)
+        if failure is not None:
+            raise failure[1]
+        return tau if np.ndim(t) else [j[0] for j in tau]
+
+    def at(self, t, ref=None) -> TangentData:
         """All derivative data at t from one order-3 evaluation of the
-        curve's jets (plus the deeper one at a singular-speed node)."""
-        vel = derivative_jets(self.curve.jets(t, 3))
-        tau = self.tau_jet_vec(t, 2, ref, vel)
+        curve's jets (plus the deeper one at a singular-speed node).
+
+        For an array t, ``ref`` is None or one sign reference per node,
+        and the record carries the node axis.
+        """
+        ts, refs = self._nodes(t, ref)
+        vel = derivative_jets(self.curve.jets(ts, 3))
+        tau, failure = self._tau(ts, 2, refs, vel)
+        failures = [] if failure is None else [failure]
         tau_p = derivative_jets(tau)
-        try:
-            mu_jets, norm = _normalize_jet_vector(tau_p)
-        except JetDomainError:  # tau' = 0 exactly
-            kappa, mu, mu_p = 0.0, None, None
-        else:
-            kappa, mu = norm.value, _values(mu_jets)
-            mu_p = _values(derivative_jets(mu_jets))
-        return TangentData(t, _values(vel), _values(derivative_jets(vel)),
+        n, dim = len(ts), len(vel)
+        kappa = np.zeros(n)
+        mu = np.full((n, dim), np.nan)
+        mu_p = np.full((n, dim), np.nan)
+        # where tau' = 0 exactly, kappa stays 0 and mu is undefined
+        defined = np.abs(_values(tau_p)).max(axis=1) != 0.0
+        if defined.any():
+            unit, norm, finite = _normalize_jet_vector(_subset(tau_p, defined))
+            kappa[defined] = norm.value
+            mu[defined] = _values(unit)
+            mu_p[defined] = _values(derivative_jets(unit))
+            bad = np.flatnonzero(defined)[~finite]
+            if bad.size:
+                failures.append((bad[0], _overflow_error(ts[bad[0]])))
+        failure = _first(failures)
+        if failure is not None:
+            raise failure[1]
+        data = TangentData(ts, _values(vel), _values(derivative_jets(vel)),
                            _values(tau), _values(tau_p), kappa, mu, mu_p)
+        return data if np.ndim(t) else data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +378,12 @@ def unit_tangent(curve: Curve, grid, k_max: int = DEFAULT_K_MAX) -> TangentField
     """Sample the unit tangent, chaining signs from the leftmost point."""
     grid = np.asarray(grid, dtype=float)
     ev = TangentEvaluator(curve, k_max=k_max)
-    taus = np.empty((len(grid), curve.dim))
-    flips = []
-    prev_raw = None
-    sign = 1.0
-    for i, t in enumerate(grid):
-        raw = _values(ev.tau_jet_vec(t, 0))
-        if prev_raw is not None and float(np.dot(raw, prev_raw)) < 0.0:
-            sign = -sign
-            flips.append(i)
-        prev_raw = raw
-        taus[i] = sign * raw
+    raw = _values(ev.tau_jet_vec(grid, 0))
+    flips = [i for i in range(1, len(grid))
+             if float(np.dot(raw[i], raw[i - 1])) < 0.0]
+    step = np.ones(len(grid))
+    step[flips] = -1.0
+    taus = np.cumprod(step)[:, None] * raw
     return TangentField(
         curve=curve,
         grid=grid,

@@ -81,22 +81,11 @@ def _ruling_fields(curve, tau_samples, t_grid, ruling):
     """Per-sample ruling vectors and their t-derivatives."""
     if ruling not in RULINGS:
         raise ValueError(f"ruling must be one of {RULINGS}")
-    ev = TangentEvaluator(curve)
-    n, d = len(t_grid), curve.dim
-    r = np.empty((n, d))
-    rp = np.empty((n, d))
-    fp = np.empty((n, d))
-    pts = np.empty((n, d))
-    for i, t in enumerate(t_grid):
-        pts[i] = curve.point(t)
-        data = ev.at(t, tau_samples[i])
-        fp[i] = data.fprime
-        if ruling == "unit":
-            r[i], rp[i] = data.tau, data.tau_p
-        else:
-            r[i] = fp[i]
-            rp[i] = data.fsecond
-    return pts, fp, r, rp
+    pts = curve.points(t_grid)
+    data = TangentEvaluator(curve).at(t_grid, tau_samples)
+    if ruling == "unit":
+        return pts, data.fprime, data.tau, data.tau_p
+    return pts, data.fprime, data.fprime, data.fsecond
 
 
 def tangent_map(curve: Curve, frame: TangentField, t_grid, s_grid,
@@ -135,12 +124,12 @@ def normal_map(curve: Curve, fields: ParallelFields, t_grid, u_grid,
         raise ValueError(f"expected {p} offset sample arrays")
     u_axes = [np.asarray(u, dtype=float) for u in u_grid]
 
-    ev = TangentEvaluator(curve)
     n, d = len(t_grid), curve.dim
-    pts = np.array([curve.point(t) for t in t_grid])
-    fp = np.array([ev.at(t).fprime for t in t_grid])
+    pts = curve.points(t_grid)
+    data = TangentEvaluator(curve).at(t_grid, fields.tau_samples)
+    fp = data.fprime
     nu = fields.vectors  # (p, n, d)
-    nup = fields.field_derivatives()
+    nup = fields.field_derivatives(data)
 
     shape = (n,) + tuple(len(u) for u in u_axes)
     mesh = np.meshgrid(*u_axes, indexing="ij")  # p arrays of shape shape[1:]
@@ -181,11 +170,11 @@ def canal_surface(curve: Curve, fields: ParallelFields, r: float, t_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     angle_grid = np.asarray(angle_grid, dtype=float)
     _check_grid_match(t_grid, fields.grid, "canal t-grid")
-    ev = TangentEvaluator(curve)
-    pts = np.array([curve.point(t) for t in t_grid])
-    fp = np.array([ev.at(t).fprime for t in t_grid])
+    pts = curve.points(t_grid)
+    data = TangentEvaluator(curve).at(t_grid, fields.tau_samples)
+    fp = data.fprime
     nu1, nu2 = fields.vectors
-    nu1p, nu2p = fields.field_derivatives()
+    nu1p, nu2p = fields.field_derivatives(data)
     c = np.cos(angle_grid)[None, :, None]
     s = np.sin(angle_grid)[None, :, None]
     points = pts[:, None, :] + r * (c * nu1[:, None, :] + s * nu2[:, None, :])
@@ -447,14 +436,19 @@ def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
         alt = np.array([0.3 * (-1.0) ** i / (1 + i) for i in range(p)])
         u_points = [base, alt]
 
-    def lift(t, u):
-        nu = fields.eval_at([t])[:, 0, :]  # (p, d)
-        offset = u @ nu
-        return curve.point(t) + offset, offset
+    # the fields at every t the differences visit, in one evaluation:
+    # row m of ts holds t0 + fd_step, t0 - fd_step and t0 itself
+    ts = np.stack([sample_ts + fd_step, sample_ts - fd_step, sample_ts],
+                  axis=1)
+    nus = fields.eval_at(ts.ravel())  # (p, 3 len(sample_ts), d)
+
+    def lift(m, side, u):
+        offset = u @ nus[:, 3 * m + side, :]
+        return curve.point(ts[m, side]) + offset, offset
 
     max_entry = 0.0
     count = 0
-    for t0 in sample_ts:
+    for m in range(len(sample_ts)):
         for u0 in u_points:
             u0 = np.asarray(u0, dtype=float)
             npar = 1 + p
@@ -462,13 +456,13 @@ def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
             dp = np.empty((npar, curve.dim))
             for a in range(npar):
                 if a == 0:
-                    xp, pp = lift(t0 + fd_step, u0)
-                    xm, pm = lift(t0 - fd_step, u0)
+                    xp, pp = lift(m, 0, u0)
+                    xm, pm = lift(m, 1, u0)
                 else:
                     e = np.zeros(p)
                     e[a - 1] = fd_step
-                    xp, pp = lift(t0, u0 + e)
-                    xm, pm = lift(t0, u0 - e)
+                    xp, pp = lift(m, 2, u0 + e)
+                    xm, pm = lift(m, 2, u0 - e)
                 dx[a] = (xp - xm) / (2.0 * fd_step)
                 dp[a] = (pp - pm) / (2.0 * fd_step)
             form = dp @ dx.T
@@ -503,7 +497,6 @@ def normal_flatness_residual(curve: Curve, frame: AdaptedFrame, s_grid,
     """
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = frame.grid
-    ev = TangentEvaluator(curve)
     h = np.diff(t_grid)
     if not np.allclose(h, h[0], rtol=1e-10, atol=0.0):
         raise ValueError("normal-flatness check needs a uniform t-grid")
@@ -512,12 +505,12 @@ def normal_flatness_residual(curve: Curve, frame: AdaptedFrame, s_grid,
     if frame.n_normals == 0:
         return NormalFlatnessReport(0.0, 0, 0, True)
     nu_dot = (nu[:, 2:, :] - nu[:, :-2, :]) / (2.0 * h)
+    data = TangentEvaluator(curve).at(t_grid[1:-1], frame.tau[1:-1])
 
     max_res = 0.0
     checked = skipped = 0
     for i in range(1, len(t_grid) - 1):
-        t = t_grid[i]
-        d = ev.at(t, frame.tau[i])
+        d = data[i - 1]
         for s in s_grid:
             jt = d.fprime + s * d.tau_p
             jac = np.stack([jt, d.tau], axis=1)

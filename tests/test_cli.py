@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from frontals.cli import main
+from frontals.curves import ExprCurve
 
 
 def run_cli(argv):
@@ -48,6 +49,13 @@ class TestInvariantsCommand:
         _, rows = parse_csv(out)
         for col in range(1, rows.shape[1]):
             assert np.std(rows[:, col]) <= 1e-8
+
+    def test_flat_curve_reports_first_underflowing_node(self):
+        # |tau'| is about 5e-165 at t = -0.05 and nonzero; the first node
+        # where it is exactly zero is where exp(-1/t^2) itself underflows
+        rc, _, err = run_cli(["invariants", "--curve", "example21"])
+        assert rc == 2
+        assert err.strip().endswith("|tau'| = 0 at t=-0.030000000000000027")
 
 
 class TestSurfaceCommand:
@@ -281,6 +289,21 @@ class TestOverflowInputs:
         else:
             assert "precondition violated" in err
 
+    def test_undetermined_tangent_named_as_before(self, tmp_path):
+        # the first node is curved, so the straightness scan stops there
+        # and the undetermined tangent at t = 0 is reported by the frame's
+        # order-0 unit tangent, not by the order-2 tangent data
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "name = flat\ndim = 3\ncomponents = [t^14, t^15, t^16]\n"
+            "domain = [-1, 1]\ngrid.t_steps = 21\n",
+            encoding="utf-8",
+        )
+        rc, _, err = run_cli(["invariants", "--config", str(cfg)])
+        assert rc == 2
+        assert err.strip().endswith("tangent line undetermined at t=0.0: "
+                                    "all velocity jets vanish up to order 8")
+
     def test_overflow_at_load_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
@@ -303,6 +326,9 @@ class TestDeterminism:
          "--u", "0.5", "--t-steps", "51", "--s-steps", "11"],
         ["frontality", "--curve", "cusp", "--t-steps", "11"],
         ["bishop", "--curve", "helix", "--t-steps", "51"],
+        ["verify", "--curve", "cusp", "--check", "structure"],
+        ["surface", "--curve", "r4curve", "--kind", "nor", "--export", "csv",
+         "--t-steps", "21", "--s-steps", "5"],
     ]
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0] + "-" + a[2])
@@ -318,3 +344,44 @@ class TestDeterminism:
         a = subprocess.run(argv, capture_output=True, check=True)
         b = subprocess.run(argv, capture_output=True, check=True)
         assert a.stdout == b.stdout
+
+
+class TestJetCallsPerCommand:
+    """Each command evaluates curve jets a fixed number of times, however
+    many nodes its grid has: jets are taken over whole grids, never once
+    per node."""
+
+    @staticmethod
+    def count_jet_calls(monkeypatch, argv):
+        calls = []
+        original = ExprCurve.jets
+
+        def counting(self, t0, order):
+            calls.append(order)
+            return original(self, t0, order)
+
+        monkeypatch.setattr(ExprCurve, "jets", counting)
+        rc, _, err = run_cli(argv)
+        assert rc == 0, err
+        return len(calls)
+
+    def test_invariants(self, monkeypatch):
+        counts = [self.count_jet_calls(monkeypatch, [
+            "invariants", "--curve", "helix", "--t-steps", steps])
+            for steps in ("41", "401")]
+        assert counts[0] == counts[1]
+
+    def test_structure_check(self, monkeypatch, tmp_path):
+        # the check refines its grid to a spacing of 1e-3, so only a
+        # domain shorter than 0.04 leaves 41 and 401 steps apart
+        cfg = tmp_path / "helix.cfg"
+        cfg.write_text("name = short-helix\ndim = 3\n"
+                       "components = [cos(t), sin(t), t]\n"
+                       "domain = [0, 0.03]\n", encoding="utf-8")
+        argvs = [["verify", "--check", "structure", "--config", str(cfg),
+                  "--t-steps", steps] for steps in ("41", "401")]
+        argvs += [["verify", "--check", "structure", "--curve", "helix",
+                   "--t-steps", steps] for steps in ("41", "401")]
+        counts = [self.count_jet_calls(monkeypatch, argv) for argv in argvs]
+        assert counts[0] == counts[1]
+        assert counts[2] == counts[3]

@@ -21,6 +21,7 @@ from frontals.frames import (
 )
 from frontals.frontal import unit_tangent
 from frontals.jets import derivative
+from frontals.linalg import orthonormal_completion
 
 
 def sample(fn, grid):
@@ -80,6 +81,24 @@ class TestBishopTransport:
         tf = unit_tangent(entry.curve, grid)
         with pytest.raises(GridTooCoarseError):
             bishop_transport(tf, entry.bishop_seed(grid[0]))
+
+
+    def test_eval_at_one_call_matches_one_point_calls(self):
+        entry = get_entry("helix")
+        grid = np.linspace(0.0, 2.0 * math.pi, 41)
+        tf = unit_tangent(entry.curve, grid)
+        fields = bishop_transport(
+            tf, orthonormal_completion([tf.tau[0]], 3, 2))
+        # off-grid points on both sides of a node, a node itself, and
+        # points past both ends of the grid
+        ts = np.array([0.3, grid[5], grid[5] + 1e-4, grid[5] - 1e-4, -0.01,
+                       2.0 * math.pi + 0.01])
+        batch = fields.eval_at(ts)
+        assert batch.shape == (2, len(ts), 3)
+        for j, t in enumerate(ts):
+            assert fields.eval_at([t])[:, 0, :].tobytes() == \
+                np.ascontiguousarray(batch[:, j, :]).tobytes()
+        assert np.array_equal(batch[:, 1, :], fields.vectors[:, 5, :])
 
 
 class TestAdaptedFrame:

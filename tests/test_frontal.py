@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_close_upto_sign, gauss_rank
-from frontals.corpus import get_curve, get_entry
+from frontals.corpus import CORPUS_IDS, get_curve, get_entry
 from frontals.curves import ExprCurve
 from frontals.errors import InflectionError, TangentUndeterminedError
 from frontals.frontal import (
@@ -219,3 +219,102 @@ class TestPropernessScan:
         rep = properness_scan(grid)
         assert rep.singular_fraction == 0.0
         assert rep.proper_estimate
+
+
+def _record_bytes(d):
+    return [None if v is None else np.asarray(v, dtype=float).tobytes()
+            for v in (d.t, d.fprime, d.fsecond, d.tau, d.tau_p, d.kappa,
+                      d.mu, d.mu_p)]
+
+
+def _first_error(calls):
+    """(type, message) of the first failing call, else None."""
+    for call in calls:
+        try:
+            call()
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+class TestBatchedTangentData:
+    CURVES = [(cid, get_curve(cid)) for cid in CORPUS_IDS] + [
+        ("cusp23", curve_2d("cusp23", ("t^2", "t^3"))),
+        ("cubic", curve_2d("cubic", ("t", "t^3"))),
+    ]
+
+    @pytest.mark.parametrize("cid,curve", CURVES, ids=[c for c, _ in CURVES])
+    def test_matches_per_node_bit_for_bit(self, cid, curve):
+        # 41-node grids hit t = 0: the singular node of cusp, cusp23 and
+        # example21 (a CallableCurve) and the exact tau' = 0 of cubic and
+        # example23; ref = -tau flips every representative
+        grid = curve.grid(41)
+        ev = TangentEvaluator(curve)
+        taus = unit_tangent(curve, grid).tau
+        for refs in (None, taus, -taus):
+            batch = ev.at(grid, refs)
+            assert batch.t.tobytes() == grid.tobytes()
+            for i, t in enumerate(grid):
+                single = ev.at(t, None if refs is None else refs[i])
+                assert _record_bytes(batch[i]) == _record_bytes(single)
+
+    def test_record_rows_mark_undefined_normals(self):
+        ev = TangentEvaluator(curve_2d("cubic", ("t", "t^3")))
+        d = ev.at(np.array([-0.5, 0.0, 0.5]))
+        assert d.kappa[1] == 0.0 and np.isnan(d.mu[1]).all()
+        assert d[1].mu is None and d[1].mu_p is None
+        assert d[0].normal()[0] == pytest.approx(d.mu[0])
+        with pytest.raises(InflectionError, match=r"at t=0.0$"):
+            d.normal()
+
+    def test_tiny_curvature_does_not_underflow(self):
+        # |tau'| of example21 at t = -0.05 is about 5e-165; squaring the
+        # unscaled jets used to underflow it to an exact zero
+        d = TangentEvaluator(get_curve("example21")).at(-0.05)
+        assert 0.0 < d.kappa < 1e-160
+        mu, _ = d.normal()
+        assert np.linalg.norm(mu) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestErrorParity:
+    """A grid evaluation raises what a loop over its nodes raises first."""
+
+    # sources, domain, grid, first failing node forwards and backwards;
+    # the squared order-3 jets of t^400 overflow from |t| = 2.5 on
+    CASES = {
+        "undetermined": (("(t*(t-1))^14", "(t*(t-1))^15"), (-1.0, 2.0),
+                         np.linspace(-1.0, 2.0, 13), 0.0, 1.0),
+        "overflow": (("t", "t^2", "t^400"), (-10.0, 10.0),
+                     np.linspace(0.0, 10.0, 9), 2.5, 10.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_at_names_first_failing_node(self, case, reverse):
+        sources, domain, grid, first, last = self.CASES[case]
+        curve = ExprCurve.from_sources(case, sources, domain)
+        if reverse:
+            grid = grid[::-1]
+        ev = TangentEvaluator(curve)
+        per_node = _first_error([lambda t=t: ev.at(t) for t in grid])
+        assert f"t={last if reverse else first}" in per_node[1]
+        assert _first_error([lambda: ev.at(grid)]) == per_node
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_normal_names_first_inflection(self, reverse):
+        # g'' = t^2 - t vanishes exactly at the nodes 0 and 1
+        curve = curve_2d("two-inflections", ("t", "t^4/12 - t^3/6"))
+        grid = np.linspace(-1.0, 1.0, 9)
+        if reverse:
+            grid = grid[::-1]
+        ev = TangentEvaluator(curve)
+        per_node = _first_error([lambda t=t: ev.at(t).normal()
+                                 for t in grid])
+        assert per_node == (InflectionError, "inflection point in range: "
+                            f"|tau'| = 0 at t={1.0 if reverse else 0.0}")
+        assert _first_error([lambda: ev.at(grid).normal()]) == per_node
+
+    def test_unit_tangent_names_first_undetermined_node(self):
+        curve = curve_2d("flat", ("t^14", "t^15"))
+        with pytest.raises(TangentUndeterminedError, match=r"at t=0.0:"):
+            unit_tangent(curve, np.linspace(-1.0, 1.0, 5))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from frontals.jets import (
     Jet,
+    JetArray,
     JetDomainError,
     constant,
     derivative,
@@ -172,3 +174,113 @@ class TestProperties:
         out = jet_pow(variable(t0, 2), Fraction(3, 2))
         fd = ((t0 + h) ** 1.5 - (t0 - h) ** 1.5) / (2 * h)
         assert derivative(out, 1) == pytest.approx(fd, rel=1e-6)
+
+
+class TestJetArrays:
+    """A JetArray column equals the Jet about the same base, bit for bit."""
+
+    @staticmethod
+    def _expressions():
+        from frontals.expressions import BinOp, Call, Const, Neg, Pow, Var
+
+        leaves = st.one_of(
+            st.just(Var()),
+            st.sampled_from([0.0, 0.5, 1.0, -2.0, 3.25]).map(Const),
+        )
+
+        def extend(children):
+            return st.one_of(
+                children.map(Neg),
+                st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt"]),
+                          children).map(lambda a: Call(*a)),
+                st.tuples(st.sampled_from(list("+-*/")), children,
+                          children).map(lambda a: BinOp(*a)),
+                st.tuples(children, st.sampled_from(
+                    [2, 3, -1, Fraction(1, 2), Fraction(-2, 3)])
+                ).map(lambda a: Pow(a[0], Fraction(a[1]))),
+            )
+
+        return st.recursive(leaves, extend, max_leaves=6)
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            return fn()
+        except Exception as exc:  # compared as (type, message)
+            return (type(exc), str(exc))
+
+    @given(data=st.data())
+    def test_eval_matches_scalar_jets(self, data):
+        from frontals.expressions import eval_jet
+
+        expr = data.draw(self._expressions())
+        order = data.draw(st.integers(0, 5))
+        ts = np.array(data.draw(st.lists(
+            st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=6)))
+        with np.errstate(all="ignore"):
+            batch = self._outcome(lambda: eval_jet(expr, ts, order))
+        scalar = [self._outcome(lambda t=t: eval_jet(expr, t, order))
+                  for t in ts.tolist()]
+        failures = [s for s in scalar if isinstance(s, tuple)]
+        if isinstance(batch, tuple):
+            # the batch stops at the first subexpression failing at any
+            # node, which is where that node fails on its own
+            assert batch in failures
+            return
+        assert not failures
+        for i, jet in enumerate(scalar):
+            assert batch[i].base == jet.base
+            assert (np.array(batch[i].coeffs).tobytes()
+                    == np.array(jet.coeffs).tobytes())
+
+    @pytest.mark.parametrize("source", [
+        "exp(sin(2*t) + 0.125*t^3)",
+        "sin(t^2 - 3*t) * cos(exp(t)/3)",
+        "sqrt(2 + t^3) / (1.5 + cos(t))",
+        "(3 + t*sin(t))^(3/2) - t^5",
+        "(2.5 + t^3)^(-2/3) * exp(-t^2)",
+    ])
+    def test_every_recurrence_on_a_dense_grid(self, source):
+        # many nodes and a high order, so a last-bit difference in a
+        # constant term or a reordered sum shows up
+        from frontals.expressions import eval_jet, parse
+
+        expr = parse(source)
+        ts = np.linspace(-1.2, 1.3, 257)
+        batch = eval_jet(expr, ts, 7)
+        for i, t in enumerate(ts.tolist()):
+            jet = eval_jet(expr, t, 7)
+            assert (batch.coeffs[:, i].tobytes()
+                    == np.array(jet.coeffs).tobytes()), t
+
+    def test_operations_keep_the_node_axis(self):
+        ts = np.array([0.25, 0.5, 2.0])
+        x = variable(ts, 3)
+        out = jet_elem("sin", x) * jet_pow(x, Fraction(3, 2)) - 1.0 / x
+        assert out.coeffs.shape == (4, 3)
+        for i, t in enumerate(ts):
+            s = variable(float(t), 3)
+            expect = jet_elem("sin", s) * jet_pow(s, Fraction(3, 2)) - 1.0 / s
+            assert out[i] == expect
+
+    def test_zero_coefficient_at_some_nodes_is_skipped(self):
+        # 0 * inf is nan, so a product must skip a zero coefficient per
+        # node exactly as the scalar loop does
+        a = JetArray(np.array([0.0, 1.0]), np.array([[0.0, 2.0], [1.0, 1.0]]))
+        b = JetArray(a.base, np.array([[np.inf, 1.0], [1.0, 1.0]]))
+        with np.errstate(all="ignore"):
+            out = jet_mul(a, b)
+        for i in range(2):
+            assert out[i] == jet_mul(a[i], b[i])
+        assert out.coeffs[0, 0] == 0.0
+
+    def test_domain_error_has_scalar_message(self):
+        x = variable(np.array([1.0, 0.0, 2.0]), 2)
+        with pytest.raises(JetDomainError, match="^jet division singular$"):
+            jet_div(constant(1.0, x.base, 2), x)
+        with pytest.raises(JetDomainError, match="non-positive constant"):
+            jet_elem("sqrt", x)
+
+    def test_mixing_point_and_grid_jets_is_rejected(self):
+        with pytest.raises(ValueError, match="base"):
+            variable(0.5, 2) + variable(np.array([0.5]), 2)
