@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .surfaces import (
 )
 
 SURFACE_KINDS = ("tan", "nor", "pal", "can", "directrix-tan")
-VERIFY_CHECKS = ("theorem22", "theorem21", "symplectic", "structure")
 
 _STRUCTURE_SPACING = 1e-3
 
@@ -109,7 +109,7 @@ class _CurveContext:
             return self.entry.frame_seed(t0)
         return None
 
-    def bishop_fields(self, t_grid, renormalize=True):
+    def bishop_fields(self, t_grid):
         tf = unit_tangent(self.curve, t_grid)
         if self.entry is not None and self.entry.bishop_seed is not None:
             seeds = self.entry.bishop_seed(t_grid[0])
@@ -117,7 +117,7 @@ class _CurveContext:
             seeds = orthonormal_completion(
                 [tf.tau[0]], self.curve.dim, self.curve.codim
             )
-        return bishop_transport(tf, seeds, renormalize=renormalize)
+        return bishop_transport(tf, seeds)
 
     def offsets(self, args):
         wanted = self.curve.codim - 1
@@ -144,16 +144,19 @@ def _emit(lines, out_path):
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _is_straight(curve, t_grid) -> bool:
-    """True when |tau'| < ``_STRAIGHT_KAPPA`` on every node: no adapted
-    frame exists, and any constant normal frame is parallel."""
-    ev = TangentEvaluator(curve)
+def _frame_unless_straight(ctx, t_grid):
+    """The adapted frame on ``t_grid``, or None when |tau'| is below
+    ``_STRAIGHT_KAPPA`` on every node: such a curve has no adapted frame,
+    and any constant normal frame is parallel along it."""
     try:
-        return bool((ev.at(t_grid).kappa < _STRAIGHT_KAPPA).all())
-    except MathPreconditionError:
-        # some node fails: answer as a scan that stops at the first
-        # curved node, which raises only if no curved node comes first
-        return all(ev.at(t).kappa < _STRAIGHT_KAPPA for t in t_grid)
+        frame = adapted_frame(ctx.curve, t_grid,
+                              nu0=ctx.frame_seed(t_grid[0]))
+    except InflectionError:
+        kappa = TangentEvaluator(ctx.curve).at(t_grid).kappa
+        if (kappa < _STRAIGHT_KAPPA).all():
+            return None
+        raise
+    return None if frame.kappa.max() < _STRAIGHT_KAPPA else frame
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +168,19 @@ def cmd_invariants(args) -> int:
     curve = ctx.curve
     t_grid = ctx.t_grid
     q = curve.codim - 1
+    n = len(t_grid)
     header = ["t", "a", "kappa"] + [f"ell_{i + 1}" for i in range(q)]
-    if _is_straight(curve, t_grid):
-        tf = unit_tangent(curve, t_grid)
+    frame = _frame_unless_straight(ctx, t_grid)
+    if frame is None:
+        tau = unit_tangent(curve, t_grid).tau
         fp = TangentEvaluator(curve).at(t_grid).fprime
-        a = np.array([float(np.dot(fp[i], tf.tau[i]))
-                      for i in range(len(t_grid))])
-        rows = [[t_grid[i], a[i], 0.0] + [0.0] * q for i in range(len(t_grid))]
+        a = [float(np.dot(fp[i], tau[i])) for i in range(n)]
+        kappa, ells = np.zeros(n), np.zeros((q, n))
     else:
-        frame = adapted_frame(curve, t_grid, nu0=ctx.frame_seed(t_grid[0]))
         prof = invariants(curve, frame)
-        rows = [
-            [t_grid[i], prof.a[i], prof.kappa[i]]
-            + [prof.ells[j, i] for j in range(q)]
-            for i in range(len(t_grid))
-        ]
+        a, kappa, ells = prof.a, prof.kappa, prof.ells
+    rows = [[t_grid[i], a[i], kappa[i]] + [ells[j, i] for j in range(q)]
+            for i in range(n)]
     _emit(csv_lines(header, rows), args.out)
     return 0
 
@@ -249,7 +250,26 @@ def cmd_surface(args) -> int:
 # verify
 
 
-def _verify_theorem22(ctx, args, records):
+class _Report(NamedTuple):
+    """What one check found: the residual its tolerance bounds, the
+    detail lines under its PASS/FAIL line and the fields its JSON-lines
+    record adds to check, curve, residual, tolerance and pass."""
+
+    residual: float
+    lines: list
+    fields: dict
+    vacuous: bool = False
+
+
+def _fine_grid(ctx):
+    """The parameter grid refined to ``_STRUCTURE_SPACING``: checks that
+    difference sampled frames by central differences need it."""
+    span = ctx.curve.domain[1] - ctx.curve.domain[0]
+    steps = max(ctx.t_steps, int(math.ceil(span / _STRUCTURE_SPACING)) + 1)
+    return ctx.curve.grid(steps)
+
+
+def _verify_theorem22(ctx, args, tol):
     curve = ctx.curve
     if curve.codim < 2:
         raise MathPreconditionError(
@@ -262,89 +282,55 @@ def _verify_theorem22(ctx, args, records):
     pal = parallel_of_tangent(curve, frame, offsets, t_grid, ctx.s_grid)
     dirx = directrix(curve, frame, prof, offsets)
     report = verify_right_equivalence(pal, dirx, frame, prof)
-    passed = report.residual <= args.tol
-    records.append({
-        "check": "theorem22", "curve": curve.name,
-        "offsets": [float(u) for u in offsets],
-        "residual": report.residual,
-        "shared_residual": report.shared_residual,
-        "independent_residual": report.independent_residual,
-        "tolerance": args.tol, "pass": passed,
-    })
-    lines = [
-        f"check theorem22 on {curve.name}: {'PASS' if passed else 'FAIL'}",
+    return _Report(report.residual, [
         f"  max |parallel - reparametrized tangent map of directrix| = "
-        f"{report.residual:.6e} (tolerance {args.tol:.1e})",
+        f"{report.residual:.6e} (tolerance {tol:.1e})",
         f"  shared-frame identity residual = {report.shared_residual:.6e}",
         f"  independent-transport residual = {report.independent_residual:.6e}",
-    ]
-    return passed, lines
+    ], {
+        "offsets": [float(u) for u in offsets],
+        "shared_residual": report.shared_residual,
+        "independent_residual": report.independent_residual,
+    })
 
 
-def _verify_theorem21(ctx, args, records):
-    curve = ctx.curve
+def _verify_theorem21(ctx, args, tol):
     # the parallelism witness differentiates the transported fields by
     # central differences, so it needs a fine parameter grid; a handful
     # of ruling offsets is plenty because the normal spaces are constant
     # along each ruling
-    span = curve.domain[1] - curve.domain[0]
-    steps = max(ctx.t_steps, int(math.ceil(span / _STRUCTURE_SPACING)) + 1)
-    t_grid = curve.grid(steps)
+    t_grid = _fine_grid(ctx)
     s_grid = np.linspace(ctx.s_range[0], ctx.s_range[1], min(ctx.s_steps, 9))
-    try:
-        frame = adapted_frame(curve, t_grid, nu0=ctx.frame_seed(t_grid[0]))
-    except InflectionError:
-        if _is_straight(curve, t_grid):
-            lines = [f"check theorem21 on {curve.name}: PASS (vacuous)",
-                     "  every sampled node of the tangent map is singular"]
-            records.append({
-                "check": "theorem21", "curve": curve.name, "residual": 0.0,
-                "tolerance": args.tol, "pass": True, "vacuous": True,
-            })
-            return True, lines
-        raise
-    report = normal_flatness_residual(curve, frame, s_grid)
-    passed = report.vacuous or report.max_residual <= args.tol
-    records.append({
-        "check": "theorem21", "curve": curve.name,
-        "residual": report.max_residual, "tolerance": args.tol,
-        "pass": passed, "vacuous": report.vacuous,
-        "checked_nodes": report.checked, "skipped_nodes": report.skipped,
-    })
-    lines = [
-        f"check theorem21 on {curve.name}: {'PASS' if passed else 'FAIL'}"
-        + (" (vacuous)" if report.vacuous else ""),
+    frame = _frame_unless_straight(ctx, t_grid)
+    if frame is None:
+        return _Report(
+            0.0, ["  every sampled node of the tangent map is singular"],
+            {"vacuous": True}, vacuous=True,
+        )
+    report = normal_flatness_residual(ctx.curve, frame, s_grid)
+    return _Report(report.max_residual, [
         f"  max normal-parallelism residual on the tangent surface = "
-        f"{report.max_residual:.6e} (tolerance {args.tol:.1e})",
+        f"{report.max_residual:.6e} (tolerance {tol:.1e})",
         f"  nodes checked {report.checked}, skipped near the singular set "
         f"{report.skipped}",
-    ]
-    return passed, lines
+    ], {
+        "vacuous": report.vacuous, "checked_nodes": report.checked,
+        "skipped_nodes": report.skipped,
+    }, report.vacuous)
 
 
-def _verify_symplectic(ctx, args, records):
-    curve = ctx.curve
+def _verify_symplectic(ctx, args, tol):
     fields = ctx.bishop_fields(ctx.t_grid)
-    report = symplectic_pullback_check(curve, fields, fd_step=args.fd_step)
-    passed = report.max_entry <= args.tol
-    records.append({
-        "check": "symplectic", "curve": curve.name,
-        "residual": report.max_entry, "fd_step": args.fd_step,
-        "tolerance": args.tol, "pass": passed,
-    })
-    lines = [
-        f"check symplectic on {curve.name}: {'PASS' if passed else 'FAIL'}",
+    report = symplectic_pullback_check(ctx.curve, fields, fd_step=args.fd_step)
+    return _Report(report.max_entry, [
         f"  max pullback entry of the canonical two-form = "
-        f"{report.max_entry:.6e} (tolerance {args.tol:.1e})",
-    ]
-    return passed, lines
+        f"{report.max_entry:.6e} (tolerance {tol:.1e})",
+    ], {"fd_step": args.fd_step})
 
 
-def _verify_structure(ctx, args, records):
+def _verify_structure(ctx, args, tol):
     curve = ctx.curve
-    span = curve.domain[1] - curve.domain[0]
-    steps = max(ctx.t_steps, int(math.ceil(span / _STRUCTURE_SPACING)) + 1)
-    t_grid = curve.grid(steps)
+    t_grid = _fine_grid(ctx)
     residuals = {}
 
     fields = ctx.bishop_fields(t_grid)
@@ -352,42 +338,43 @@ def _verify_structure(ctx, args, records):
     for key, val in structure_residuals_bishop(curve, fields, binv).items():
         residuals[f"curve_normal.{key}"] = val
 
-    if not _is_straight(curve, t_grid):
-        frame = adapted_frame(curve, t_grid, nu0=ctx.frame_seed(t_grid[0]))
+    frame = _frame_unless_straight(ctx, t_grid)
+    if frame is not None:
         prof = invariants(curve, frame)
         for key, val in structure_residuals_adapted(curve, frame, prof).items():
             residuals[f"surface_normal.{key}"] = val
     worst = max(residuals.values())
-    passed = worst <= args.tol
-    records.append({
-        "check": "structure", "curve": curve.name,
-        "residuals": {k: residuals[k] for k in sorted(residuals)},
-        "residual": worst, "tolerance": args.tol, "pass": passed,
-        "t_steps": steps,
-    })
-    lines = [f"check structure on {curve.name}: {'PASS' if passed else 'FAIL'}"]
-    for key in sorted(residuals):
-        lines.append(f"  {key}: {residuals[key]:.6e}")
-    lines.append(f"  worst residual {worst:.6e} (tolerance {args.tol:.1e})")
-    return passed, lines
+    lines = [f"  {key}: {residuals[key]:.6e}" for key in sorted(residuals)]
+    lines.append(f"  worst residual {worst:.6e} (tolerance {tol:.1e})")
+    return _Report(worst, lines,
+                   {"residuals": residuals, "t_steps": len(t_grid)})
+
+
+#: check name -> (check function, default tolerance)
+_CHECKS = {
+    "theorem22": (_verify_theorem22, 1e-5),
+    "theorem21": (_verify_theorem21, 1e-5),
+    "symplectic": (_verify_symplectic, 1e-6),
+    "structure": (_verify_structure, 1e-5),
+}
 
 
 def cmd_verify(args) -> int:
     ctx = _CurveContext(args)
-    records = []
-    runner = {
-        "theorem22": _verify_theorem22,
-        "theorem21": _verify_theorem21,
-        "symplectic": _verify_symplectic,
-        "structure": _verify_structure,
-    }[args.check]
-    passed, lines = runner(ctx, args, records)
-    sys.stdout.write("\n".join(lines) + "\n")
-    log_lines = [jsonl_line(r) for r in records]
-    if args.out:
-        write_lines(log_lines, args.out)
-    else:
-        sys.stdout.write("\n".join(log_lines) + "\n")
+    check, default_tol = _CHECKS[args.check]
+    tol = default_tol if args.tol is None else args.tol
+    report = check(ctx, args, tol)
+    passed = report.vacuous or report.residual <= tol
+    header = (f"check {args.check} on {ctx.curve.name}: "
+              f"{'PASS' if passed else 'FAIL'}"
+              + (" (vacuous)" if report.vacuous else ""))
+    sys.stdout.write("\n".join([header] + report.lines) + "\n")
+    record = jsonl_line({
+        "check": args.check, "curve": ctx.curve.name,
+        "residual": report.residual, "tolerance": tol, "pass": passed,
+        **report.fields,
+    })
+    _emit([record], args.out)
     return 0 if passed else 2
 
 
@@ -481,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification check")
     _add_curve_args(p)
     _add_grid_args(p)
-    p.add_argument("--check", choices=VERIFY_CHECKS, required=True)
+    p.add_argument("--check", choices=tuple(_CHECKS), required=True)
     p.add_argument("--u", type=float, action="append")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--fd-step", type=float, default=1e-4)
@@ -507,19 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_TOLS = {
-    "theorem22": 1e-5,
-    "theorem21": 1e-5,
-    "symplectic": 1e-6,
-    "structure": 1e-5,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "check", None) and args.tol is None:
-        args.tol = _DEFAULT_TOLS[args.check]
     try:
         return args.func(args)
     except ConfigError as exc:

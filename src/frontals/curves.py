@@ -49,12 +49,6 @@ class Curve:
     def points(self, ts) -> np.ndarray:
         return np.array([self.point(t) for t in np.asarray(ts, dtype=float)])
 
-    def derivative(self, t: float, k: int = 1) -> np.ndarray:
-        from .jets import derivative as jet_derivative
-
-        js = self.jets(t, k)
-        return np.array([jet_derivative(j, k) for j in js])
-
     def grid(self, steps: int) -> np.ndarray:
         return np.linspace(self.domain[0], self.domain[1], steps)
 

@@ -207,7 +207,7 @@ class _Parser:
             return Pow(base, self.exponent())
         return base
 
-    def exponent(self) -> Fraction:
+    def exponent(self, in_parens: bool = False) -> Fraction:
         tok = self.peek()
         sign = 1
         if tok[0] == "-":
@@ -216,35 +216,28 @@ class _Parser:
             tok = self.peek()
         if tok[0] == "(":
             self.advance()
-            inner = self.exponent()
+            inner = self.exponent(in_parens=True)
             self.expect(")", "')'")
             return sign * inner
         if tok[0] == "num" and tok[3]:
             self.advance()
             numerator = int(tok[1])
-            if self.peek()[0] == "/":
-                # a '/' directly inside an exponent's parentheses forms a
+            if in_parens and self.peek()[0] == "/":
+                # a '/' inside the exponent's own parentheses forms a
                 # rational literal; at top level pow binds only the integer
-                save = self.pos
                 self.advance()
-                den = self.peek()
-                if den[0] == "num" and den[3] and self._in_exponent_parens():
-                    self.advance()
-                    if int(den[1]) == 0:
-                        raise ParseError("zero denominator in exponent", den[2])
-                    return Fraction(sign * numerator, int(den[1]))
-                self.pos = save
+                den = self.advance()
+                if den[0] != "num" or not den[3]:
+                    raise ParseError(f"unexpected token {den[1]!r}", den[2],
+                                     "integer denominator")
+                if int(den[1]) == 0:
+                    raise ParseError("zero denominator in exponent", den[2])
+                return Fraction(sign * numerator, int(den[1]))
             return Fraction(sign * numerator)
         raise ParseError(
             f"unexpected token {tok[1]!r}", tok[2],
             "integer or rational exponent literal",
         )
-
-    def _in_exponent_parens(self) -> bool:
-        # the rational form INT '/' INT is only recognised when the next
-        # token closes the surrounding parentheses of the exponent
-        nxt = self.tokens[self.pos + 1]
-        return nxt[0] == ")"
 
     def atom(self) -> Expr:
         tok = self.peek()

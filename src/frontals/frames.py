@@ -48,7 +48,7 @@ from .jets import Jet, jet_mul
 from .linalg import gram_schmidt, orthonormal_completion
 
 _SEED_ORTHO_TOL = 1e-10
-DEFAULT_DRIFT_LIMIT = 1e-3
+_DRIFT_LIMIT = 1e-3
 DEFAULT_INFLECTION_REL_TOL = 1e-6
 
 
@@ -130,7 +130,7 @@ def _gram_deviation(rows) -> float:
     return float(np.abs(g - np.eye(len(rows))).max())
 
 
-def _transport(curve, grid, ref_taus, seeds, mode, renormalize, drift_limit,
+def _transport(curve, grid, ref_taus, seeds, mode, renormalize,
                reverse) -> ParallelFields:
     """RK4 transport of orthonormal seeds along the grid; each step reuses
     the record at its end as the next step's start and as the basis the
@@ -168,10 +168,10 @@ def _transport(curve, grid, ref_taus, seeds, mode, renormalize, drift_limit,
         basis = _connection(mode, d)[2]
         drift = _gram_deviation(basis + list(y))
         drift_max = max(drift_max, drift)
-        if drift > drift_limit:
+        if drift > _DRIFT_LIMIT:
             raise GridTooCoarseError(
                 f"frame transport step rejected at t={t1}: orthonormality "
-                f"drift {drift:.3e} exceeds {drift_limit:.1e}"
+                f"drift {drift:.3e} exceeds {_DRIFT_LIMIT:.1e}"
             )
         if renormalize:
             fixed = gram_schmidt(y, against=basis, pivot_tol=1e-8)
@@ -190,7 +190,6 @@ def _transport(curve, grid, ref_taus, seeds, mode, renormalize, drift_limit,
 
 
 def bishop_transport(tau_field: TangentField, nu0, renormalize: bool = True,
-                     drift_limit: float = DEFAULT_DRIFT_LIMIT,
                      reverse: bool = False) -> ParallelFields:
     """Parallel-transport normal vectors of the curve's normal bundle.
 
@@ -199,16 +198,15 @@ def bishop_transport(tau_field: TangentField, nu0, renormalize: bool = True,
     initial vectors. ``reverse=True`` starts from the last grid point.
     """
     return _transport(tau_field.curve, tau_field.grid, tau_field.tau, nu0,
-                      "curve_normal", renormalize, drift_limit, reverse)
+                      "curve_normal", renormalize, reverse)
 
 
 def surface_normal_transport(curve, grid, ref_taus, seeds,
                              renormalize: bool = True,
-                             drift_limit: float = DEFAULT_DRIFT_LIMIT,
                              reverse: bool = False) -> ParallelFields:
     """Transport vectors parallel for the tangent surface's normal bundle."""
     return _transport(curve, grid, ref_taus, seeds, "surface_normal",
-                      renormalize, drift_limit, reverse)
+                      renormalize, reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +239,7 @@ class AdaptedFrame:
 
 def adapted_frame(curve: Curve, grid, nu0=None, k_max: int = DEFAULT_K_MAX,
                   inflection_rel_tol: float = DEFAULT_INFLECTION_REL_TOL,
-                  renormalize: bool = True,
-                  drift_limit: float = DEFAULT_DRIFT_LIMIT) -> AdaptedFrame:
+                  renormalize: bool = True) -> AdaptedFrame:
     """Build the adapted frame {tau, mu, nu_i} along a curve without
     inflection points.
 
@@ -278,7 +275,6 @@ def adapted_frame(curve: Curve, grid, nu0=None, k_max: int = DEFAULT_K_MAX,
                 )
         fields = surface_normal_transport(
             curve, grid, tf.tau, seeds, renormalize=renormalize,
-            drift_limit=drift_limit,
         )
         nus = fields.vectors
         drift = fields.gram_drift_max

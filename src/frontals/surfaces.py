@@ -32,9 +32,17 @@ from .frames import (
     surface_normal_transport,
 )
 from .frontal import TangentEvaluator, TangentField
-from .linalg import DEFAULT_RANK_TOL, batched_rank, orthonormal_column_basis
+from .linalg import batched_rank, orthonormal_column_basis
 
 RULINGS = ("unit", "derivative")
+
+#: |kappa| at or below which the singular locus and directrix diverge
+_INFLECTION_KAPPA = 1e-8
+#: least enforced directrix tangency residual, relative to max(1, |g'|)
+_TANGENCY_TOL = 1e-5
+#: smallest Jacobian singular value of a tangent-map node whose normal
+#: flatness is checked
+_FLATNESS_EXCLUSION = 1e-7
 
 
 @dataclass
@@ -89,8 +97,7 @@ def _ruling_fields(curve, tau_samples, t_grid, ruling):
 
 
 def tangent_map(curve: Curve, frame: TangentField, t_grid, s_grid,
-                ruling: str = "unit",
-                rank_tol: float = DEFAULT_RANK_TOL) -> SurfaceGrid:
+                ruling: str = "unit") -> SurfaceGrid:
     """Sample (t, s) -> f(t) + s r(t) with per-node Jacobian ranks."""
     t_grid = np.asarray(t_grid, dtype=float)
     s_grid = np.asarray(s_grid, dtype=float)
@@ -100,15 +107,15 @@ def tangent_map(curve: Curve, frame: TangentField, t_grid, s_grid,
     jt = fp[:, None, :] + s_grid[None, :, None] * rp[:, None, :]
     js = np.broadcast_to(r[:, None, :], jt.shape)
     jac = np.stack([jt, js], axis=-1)
-    ranks = batched_rank(jac, rank_tol)
+    ranks = batched_rank(jac)
     return SurfaceGrid(
         map_kind="Tan", axes=(("t", t_grid), ("s", s_grid)),
         points=points, jac_rank=ranks, ruling=ruling,
     )
 
 
-def normal_map(curve: Curve, fields: ParallelFields, t_grid, u_grid,
-               rank_tol: float = DEFAULT_RANK_TOL) -> SurfaceGrid:
+def normal_map(curve: Curve, fields: ParallelFields, t_grid,
+               u_grid) -> SurfaceGrid:
     """Sample the full normal map (t, u_1..u_p) -> f(t) + sum u_i nu_i(t).
 
     ``u_grid`` is either one sample array reused for every normal
@@ -148,7 +155,7 @@ def normal_map(curve: Curve, fields: ParallelFields, t_grid, u_grid,
         for i in range(p)
     ]
     jac = np.stack(cols, axis=-1)
-    ranks = batched_rank(jac, rank_tol)
+    ranks = batched_rank(jac)
     axes = (("t", t_grid),) + tuple(
         (f"u{i + 1}", u_axes[i]) for i in range(p)
     )
@@ -157,8 +164,7 @@ def normal_map(curve: Curve, fields: ParallelFields, t_grid, u_grid,
 
 
 def canal_surface(curve: Curve, fields: ParallelFields, r: float, t_grid,
-                  angle_grid,
-                  rank_tol: float = DEFAULT_RANK_TOL) -> SurfaceGrid:
+                  angle_grid) -> SurfaceGrid:
     """Tube of radius r: the normal map restricted to |nu| = r (p = 2)."""
     if r <= 0:
         raise ValueError("canal radius must be positive")
@@ -181,7 +187,7 @@ def canal_surface(curve: Curve, fields: ParallelFields, r: float, t_grid,
     jt = fp[:, None, :] + r * (c * nu1p[:, None, :] + s * nu2p[:, None, :])
     jang = r * (-s * nu1[:, None, :] + c * nu2[:, None, :])
     jac = np.stack([jt, jang], axis=-1)
-    ranks = batched_rank(jac, rank_tol)
+    ranks = batched_rank(jac)
     return SurfaceGrid(
         map_kind="Can", axes=(("t", t_grid), ("theta", angle_grid)),
         points=points, jac_rank=ranks,
@@ -199,8 +205,7 @@ def _check_offsets(frame_or_profile_normals: int, offsets) -> np.ndarray:
 
 
 def parallel_of_tangent(curve: Curve, frame: AdaptedFrame, offsets, t_grid,
-                        s_grid, ruling: str = "unit",
-                        rank_tol: float = DEFAULT_RANK_TOL) -> SurfaceGrid:
+                        s_grid, ruling: str = "unit") -> SurfaceGrid:
     """Offset the tangent map by a parallel normal field:
     (t, s) -> f(t) + s r(t) + sum_i u_i nu_i(t)."""
     t_grid = np.asarray(t_grid, dtype=float)
@@ -224,7 +229,7 @@ def parallel_of_tangent(curve: Curve, frame: AdaptedFrame, offsets, t_grid,
     )
     js = np.broadcast_to(r[:, None, :], jt.shape)
     jac = np.stack([jt, js], axis=-1)
-    ranks = batched_rank(jac, rank_tol)
+    ranks = batched_rank(jac)
     return SurfaceGrid(
         map_kind="Pal", axes=(("t", t_grid), ("s", s_grid)),
         points=points, jac_rank=ranks, ruling=ruling,
@@ -244,11 +249,11 @@ class SingularLocusCurve:
     residuals: np.ndarray  # |s kappa - sum u_i ell_i| per sample
 
 
-def singular_locus_parallel(profile: InvariantProfile, offsets,
-                            kappa_tol: float = 1e-8) -> SingularLocusCurve:
+def singular_locus_parallel(profile: InvariantProfile,
+                            offsets) -> SingularLocusCurve:
     """Closed-form singular locus s(t) = sum_i u_i ell_i(t) / kappa(t)."""
     offsets = _check_offsets(profile.ells.shape[0], offsets)
-    if np.min(np.abs(profile.kappa)) <= kappa_tol:
+    if np.min(np.abs(profile.kappa)) <= _INFLECTION_KAPPA:
         raise InflectionError(
             "inflection in range: the singular locus may diverge"
         )
@@ -283,12 +288,12 @@ def _five_point_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def directrix(curve: Curve, frame: AdaptedFrame, profile: InvariantProfile,
-              offsets, tangency_tol: float = 1e-5) -> Directrix:
+              offsets) -> Directrix:
     """g(t) = f(t) + sum_i u_i (ell_i/kappa tau + nu_i).
 
     The defining property (g' parallel to tau) is verified with a
     five-point stencil on the interior samples. Enforcement threshold is
-    ``max(tangency_tol, 4 * stencil floor)`` relative to max(1, |g'|):
+    ``max(_TANGENCY_TOL, 4 * stencil floor)`` relative to max(1, |g'|):
     the stencil cannot witness tangency below its own O(h^4) truncation,
     which is estimated from fifth differences of the sampled g, so a
     coarse grid on a wiggly curve loosens the gate instead of producing
@@ -296,12 +301,11 @@ def directrix(curve: Curve, frame: AdaptedFrame, profile: InvariantProfile,
     """
     offsets = _check_offsets(frame.n_normals, offsets)
     _check_grid_match(frame.grid, profile.grid, "directrix profile grid")
-    if np.min(np.abs(profile.kappa)) <= 1e-8:
+    if np.min(np.abs(profile.kappa)) <= _INFLECTION_KAPPA:
         raise InflectionError("inflection in range: directrix undefined")
     ratio = np.tensordot(offsets, profile.ells, axes=(0, 0)) / profile.kappa
     offset_vec = np.tensordot(offsets, frame.nus, axes=(0, 0))
-    pts = np.array([curve.point(t) for t in frame.grid])
-    g = pts + ratio[:, None] * frame.tau + offset_vec
+    g = curve.points(frame.grid) + ratio[:, None] * frame.tau + offset_vec
 
     residual = 0.0
     floor = 0.0
@@ -319,11 +323,11 @@ def directrix(curve: Curve, frame: AdaptedFrame, profile: InvariantProfile,
                 floor = (h ** 4 / 30.0) * float(
                     np.linalg.norm(g5, axis=1).max()
                 )
-            if residual > max(tangency_tol, 4.0 * floor):
+            limit = max(_TANGENCY_TOL, 4.0 * floor)
+            if residual > limit:
                 raise MathPreconditionError(
                     f"directrix tangency residual {residual:.3e} exceeds "
-                    f"{max(tangency_tol, 4.0 * floor):.3e}; frame and "
-                    f"profile are inconsistent"
+                    f"{limit:.3e}; frame and profile are inconsistent"
                 )
     return Directrix(
         offsets=offsets, grid=frame.grid, points=g,
@@ -383,9 +387,8 @@ def verify_right_equivalence(pal: SurfaceGrid, directrix_curve: Directrix,
         nbar = back.vectors
         ells_bar = invariants(curve, replace(frame, nus=nbar)).ells
         shift_bar = np.tensordot(offsets, ells_bar, axes=(0, 0)) / profile.kappa
-        pts = np.array([curve.point(t) for t in t_grid])
         g_bar = (
-            pts
+            curve.points(t_grid)
             + shift_bar[:, None] * frame.tau
             + np.tensordot(offsets, nbar, axes=(0, 0))
         )
@@ -413,28 +416,22 @@ class SymplecticReport:
 
 
 def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
-                              sample_ts=None, u_points=None,
                               fd_step: float = 1e-4) -> SymplecticReport:
     """Max |entry| of the canonical two-form pulled back by the lift
     (t, u) -> (f(t) + sum u_i nu_i ; sum u_i nu_i) of the normal map.
 
-    Tangent and cotangent coordinates are identified by the Euclidean
-    metric; partials are central differences of step ``fd_step`` in every
+    Sampled at the five interior points of a 7-point grid over the
+    fields' range, at u = 0 and at one fixed nonzero u. Tangent and
+    cotangent coordinates are identified by the Euclidean metric;
+    partials are central differences of step ``fd_step`` in every
     parameter direction.
     """
     if fields.mode != "curve_normal":
         raise ValueError("symplectic check needs curve-normal parallel fields")
     p = fields.n_fields
-    grid = fields.grid
-    lo, hi = grid[0], grid[-1]
-    if sample_ts is None:
-        inner = np.linspace(lo, hi, 7)[1:-1]
-        sample_ts = inner
-    sample_ts = np.asarray(sample_ts, dtype=float)
-    if u_points is None:
-        base = np.zeros(p)
-        alt = np.array([0.3 * (-1.0) ** i / (1 + i) for i in range(p)])
-        u_points = [base, alt]
+    sample_ts = np.linspace(fields.grid[0], fields.grid[-1], 7)[1:-1]
+    alt = np.array([0.3 * (-1.0) ** i / (1 + i) for i in range(p)])
+    u_points = [np.zeros(p), alt]
 
     # the fields at every t the differences visit, in one evaluation:
     # row m of ts holds t0 + fd_step, t0 - fd_step and t0 itself
@@ -450,7 +447,6 @@ def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
     count = 0
     for m in range(len(sample_ts)):
         for u0 in u_points:
-            u0 = np.asarray(u0, dtype=float)
             npar = 1 + p
             dx = np.empty((npar, curve.dim))
             dp = np.empty((npar, curve.dim))
@@ -484,16 +480,16 @@ class NormalFlatnessReport:
     vacuous: bool
 
 
-def normal_flatness_residual(curve: Curve, frame: AdaptedFrame, s_grid,
-                             exclusion: float = 1e-7) -> NormalFlatnessReport:
+def normal_flatness_residual(curve: Curve, frame: AdaptedFrame,
+                             s_grid) -> NormalFlatnessReport:
     """Witness that the frame normals, extended constant along rulings,
     stay parallel for the tangent surface's normal bundle.
 
     At each regular node the residual is the component of the
     finite-differenced d(nu_i)/dt orthogonal to the surface's tangent
     plane and to nu_i itself. Nodes whose Jacobian smallest singular
-    value falls below ``exclusion`` are skipped; if everything is
-    skipped the check is vacuous (e.g. a straight segment).
+    value falls below ``_FLATNESS_EXCLUSION`` are skipped; if everything
+    is skipped the check is vacuous (e.g. a straight segment).
     """
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = frame.grid
@@ -515,7 +511,7 @@ def normal_flatness_residual(curve: Curve, frame: AdaptedFrame, s_grid,
             jt = d.fprime + s * d.tau_p
             jac = np.stack([jt, d.tau], axis=1)
             sv = np.linalg.svd(jac, compute_uv=False)
-            if sv[-1] < exclusion:
+            if sv[-1] < _FLATNESS_EXCLUSION:
                 skipped += 1
                 continue
             q = orthonormal_column_basis(jac)

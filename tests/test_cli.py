@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import subprocess
 import sys
 
@@ -184,6 +185,37 @@ class TestVerifyCommand:
         assert rc == 0
         assert "PASS" in out and "worst residual" in out
 
+    COMMON_KEYS = {"check", "curve", "residual", "tolerance", "pass"}
+    STRUCTURE_KEYS = COMMON_KEYS | {"residuals", "t_steps"}
+
+    @pytest.mark.parametrize("check, curve, first_line, keys", [
+        ("theorem22", "example22", "check theorem22 on example22: PASS",
+         COMMON_KEYS | {"offsets", "shared_residual",
+                        "independent_residual"}),
+        ("theorem21", "helix", "check theorem21 on helix: PASS",
+         COMMON_KEYS | {"vacuous", "checked_nodes", "skipped_nodes"}),
+        ("theorem21", "line", "check theorem21 on line: PASS (vacuous)",
+         COMMON_KEYS | {"vacuous"}),
+        ("symplectic", "circle", "check symplectic on circle: PASS",
+         COMMON_KEYS | {"fd_step"}),
+        ("structure", "helix", "check structure on helix: PASS",
+         STRUCTURE_KEYS),
+        ("structure", "line", "check structure on line: PASS",
+         STRUCTURE_KEYS),
+    ])
+    def test_report_shape(self, check, curve, first_line, keys):
+        # the JSON-lines record follows the report on stdout
+        rc, out, err = run_cli(["verify", "--curve", curve, "--check", check,
+                                "--t-steps", "41"])
+        assert rc == 0, err
+        lines = out.splitlines()
+        assert lines[0] == first_line
+        record = json.loads(lines[-1])
+        assert set(record) == keys
+        assert (record["check"], record["curve"], record["pass"]) == (
+            check, curve, True)
+        assert record["tolerance"] == (1e-6 if check == "symplectic" else 1e-5)
+
 
 class TestFrontalityCommand:
     def test_regular_curve(self):
@@ -313,6 +345,53 @@ class TestOverflowInputs:
         )
         rc, _, err = run_cli(["invariants", "--config", str(cfg)])
         assert rc == 1 and "overflow" in err
+
+
+class TestStraightSegment:
+    """A straight curve whose |tau'| is rounding noise, not exact zeros:
+    it has no adapted frame, so the invariants are zero, the normal
+    flatness check is vacuous and only the curve-normal frame system is
+    checked."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "name = exp-line\ndim = 3\n"
+            "components = [exp(t), 2*exp(t), 3*exp(t)]\n"
+            "domain = [-1, 1]\ngrid.t_steps = 21\n",
+            encoding="utf-8",
+        )
+        return str(cfg)
+
+    def test_invariants_are_zero(self, config):
+        rc, out, err = run_cli(["invariants", "--config", config])
+        assert rc == 0, err
+        header, rows = parse_csv(out)
+        assert header == ["t", "a", "kappa", "ell_1"]
+        assert rows.shape == (21, 4)
+        assert (rows[:, 2:] == 0.0).all()
+        # |f'| = sqrt(14) exp(t)
+        assert np.abs(rows[:, 1] - np.sqrt(14.0) * np.exp(rows[:, 0])).max() \
+            <= 1e-12
+
+    def test_theorem21_is_vacuous(self, config):
+        rc, out, _ = run_cli(["verify", "--check", "theorem21",
+                              "--config", config])
+        assert rc == 0
+        assert out.splitlines()[0] == "check theorem21 on exp-line: " \
+            "PASS (vacuous)"
+
+    def test_structure_checks_curve_normal_frame_only(self, config):
+        rc, out, _ = run_cli(["verify", "--check", "structure",
+                              "--config", config])
+        assert rc == 0
+        record = json.loads(out.splitlines()[-1])
+        assert record["pass"] is True
+        assert sorted(record["residuals"]) == [
+            "curve_normal.f_prime", "curve_normal.nu1_prime",
+            "curve_normal.nu2_prime", "curve_normal.tau_prime",
+        ]
 
 
 class TestDeterminism:

@@ -51,6 +51,31 @@ class TestParse:
         assert parse("t^-2") == Pow(Var(), Fraction(-2))
         assert parse("t^(-3/2)") == Pow(Var(), Fraction(-3, 2))
 
+    @pytest.mark.parametrize("source, expected", [
+        # a ')' after the denominator that closes an enclosing call or
+        # group does not make the exponent rational
+        ("exp(t^3/7)", Call("exp", BinOp("/", Pow(Var(), Fraction(3)),
+                                         Const(7.0)))),
+        ("(t^3/7)", BinOp("/", Pow(Var(), Fraction(3)), Const(7.0))),
+        ("sin(t^3/6)", Call("sin", BinOp("/", Pow(Var(), Fraction(3)),
+                                         Const(6.0)))),
+        ("(1+t^2/2)", BinOp("+", Const(1.0), BinOp(
+            "/", Pow(Var(), Fraction(2)), Const(2.0)))),
+        ("t^(1/2)", Pow(Var(), Fraction(1, 2))),
+        ("t^(-3/2)", Pow(Var(), Fraction(-3, 2))),
+        ("(t^(3/7))", Pow(Var(), Fraction(3, 7))),
+    ])
+    def test_rational_exponent_only_inside_its_own_parens(self, source,
+                                                          expected):
+        assert parse(source) == expected
+        assert parse(to_source(expected)) == expected
+
+    def test_rational_exponent_needs_integer_denominator(self):
+        with pytest.raises(ParseError, match="integer denominator"):
+            parse("t^(3/t)")
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse("t^(3/0)")
+
     def test_function_requires_parens(self):
         with pytest.raises(ParseError):
             parse("sin t")

@@ -1,9 +1,12 @@
 """Module layout rules for the package sources."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "frontals"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "frontals"
 
 
 def test_no_private_names_imported_across_modules():
@@ -18,3 +21,28 @@ def test_no_private_names_imported_across_modules():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_benchmark_traced_names_exist():
+    # the benchmark's tracer wraps each "<module>.<attr path>" of SPANS
+    # in bench/tracing.py; a moved or deleted name would break its runs
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for target in sorted(t for ts in tracing.SPANS.values() for t in ts):
+        module, *path = target.split(".")
+        owner = importlib.import_module(f"frontals.{module}")
+        for attr in path:
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(target)
+    assert missing == []
+
+
+def test_cli_binds_adapted_frame_at_module_level():
+    # the tracer times the CLI's frame builds through this binding
+    cli = importlib.import_module("frontals.cli")
+    frames = importlib.import_module("frontals.frames")
+    assert cli.adapted_frame is frames.adapted_frame
