@@ -84,14 +84,21 @@ class _CurveContext:
             self.curve = cfg.build_curve()
             t_steps, s_steps = cfg.grid.t_steps, cfg.grid.s_steps
             s_range = cfg.grid.s_range
-        if getattr(args, "t_steps", None):
+        if getattr(args, "t_steps", None) is not None:
             t_steps = args.t_steps
-        if getattr(args, "s_steps", None):
+        if getattr(args, "s_steps", None) is not None:
             s_steps = args.s_steps
         if getattr(args, "s_range", None):
             s_range = tuple(args.s_range)
         if t_steps < 2 or s_steps < 2:
             raise ConfigError("step counts must be >= 2")
+        for name in ("fd_step", "r"):
+            value = getattr(args, name, 1.0)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"--{name.replace('_', '-')} must be "
+                                  f"finite and > 0")
+        if getattr(args, "k_max", 2) < 2:
+            raise ConfigError("--k-max must be >= 2")
         self.t_steps = t_steps
         self.s_steps = s_steps
         self.s_range = s_range
@@ -172,9 +179,8 @@ def cmd_invariants(args) -> int:
     header = ["t", "a", "kappa"] + [f"ell_{i + 1}" for i in range(q)]
     frame = _frame_unless_straight(ctx, t_grid)
     if frame is None:
-        tau = unit_tangent(curve, t_grid).tau
-        fp = TangentEvaluator(curve).at(t_grid).fprime
-        a = [float(np.dot(fp[i], tau[i])) for i in range(n)]
+        d = TangentEvaluator(curve).at(t_grid, unit_tangent(curve, t_grid).tau)
+        a = np.einsum("nk,nk->n", d.fprime, d.tau)
         kappa, ells = np.zeros(n), np.zeros((q, n))
     else:
         prof = invariants(curve, frame)

@@ -11,20 +11,23 @@ Two distinct parallel transports live here and must not be confused:
   vanishes identically (nu_i is orthogonal to mu and tau' is parallel to
   mu).
 
-Both use classical fourth-order Runge-Kutta on the supplied grid with
-per-step Gram-Schmidt renormalization; the orthonormality drift measured
-before renormalization is recorded as a quality metric, and a step whose
-drift exceeds the limit is rejected as a too-coarse-grid signal.
+Both are the linear system ``y' = y M`` with ``M = -b a^T``, where
+(a, b) is (tau, tau') or (mu, mu'), integrated by classical fourth-order
+Runge-Kutta on the supplied grid. One :meth:`TangentEvaluator.at` call
+evaluates the grid nodes and step midpoints, and batched matrix products
+turn it into every step's matrix ``P_n`` (one step is ``y -> y P_n``).
+The step loop multiplies by ``P_n``, measures the orthonormality drift
+(a step whose drift exceeds the limit is rejected as a too-coarse-grid
+signal) and renormalizes by Gram-Schmidt. The fields keep the node
+record, and the same ``M`` gives their exact derivatives at the nodes,
+their off-grid values by short RK4 steps, and, as the coefficients
+``nu_i . b``, the invariants ell_i and kappa_i.
 
-Tangent and frame derivatives at arbitrary parameter values come from
-:meth:`TangentEvaluator.at`, built from jets of the curve (exact at the
+Tangent and frame derivatives come from jets of the curve (exact at the
 evaluation points), not from grid differencing; only fields that exist
 purely as ODE samples are ever differentiated by finite differences
-(elsewhere in the package). ``at`` takes the whole grid in one call: a
-transport evaluates its nodes and step midpoints up front, in the order
-the steps visit them, and the RK4 loop then reads one record per point.
-Reductions over the dim axis (dot products, ``y @ b``) stay per node so
-their rounding is that of a single vector.
+(elsewhere in the package). Reductions over the dim axis run over the
+whole grid at once.
 """
 
 from __future__ import annotations
@@ -53,38 +56,39 @@ DEFAULT_INFLECTION_REL_TOL = 1e-6
 
 
 def _connection(mode: str, d: TangentData):
-    """(a, b, basis) of a transport at one record: the fields obey
-    ``y' = -(y . b) a`` and stay orthogonal to ``basis``."""
+    """(M, b, basis) of a transport over an array record: the fields obey
+    ``y' = y M`` with ``M = -b a^T``, that is ``y' = -(y . b) a``, and
+    stay orthogonal to the basis rows, shape (N, r, dim)."""
     if mode == "curve_normal":
-        return d.tau, d.tau_p, [d.tau]
-    if mode == "surface_normal":
-        mu, mu_p = d.normal()
-        return mu, mu_p, [d.tau, mu]
-    raise ValueError(f"unknown transport mode {mode!r}")
+        a, b, basis = d.tau, d.tau_p, [d.tau]
+    elif mode == "surface_normal":
+        a, b = d.normal()
+        basis = [d.tau, a]
+    else:
+        raise ValueError(f"unknown transport mode {mode!r}")
+    return -b[:, :, None] * a[:, None, :], b, np.stack(basis, axis=1)
 
 
-def _rhs(mode: str, d: TangentData, y: np.ndarray) -> np.ndarray:
-    a, b, _ = _connection(mode, d)
-    return -(y @ b)[:, None] * a[None, :]
-
-
-def _rk4_step(mode, h, y, d0, dm, d1):
-    """One RK4 step of length h from the records at start, middle, end."""
-    k1 = _rhs(mode, d0, y)
-    k2 = _rhs(mode, dm, y + 0.5 * h * k1)
-    k3 = _rhs(mode, dm, y + 0.5 * h * k2)
-    k4 = _rhs(mode, d1, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _step_matrices(h, m0, mm, m1) -> np.ndarray:
+    """RK4 step matrices ``P`` (one step is ``y -> y @ P``) of steps of
+    length h from the connection matrices at their start, middle and
+    end."""
+    h = h[:, None, None]
+    k2 = mm + 0.5 * h * (m0 @ mm)
+    k3 = mm + 0.5 * h * (k2 @ mm)
+    k4 = m1 + h * (k3 @ m1)
+    return np.eye(m0.shape[-1]) + (h / 6.0) * (m0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass
 class ParallelFields:
-    """Sampled parallel normal fields produced by a frame transport."""
+    """Sampled parallel normal fields produced by a frame transport, with
+    the record of the grid they were transported on."""
 
     curve: Curve
     grid: np.ndarray
     vectors: np.ndarray  # (n_fields, n_samples, dim)
-    tau_samples: np.ndarray  # sign reference for off-grid evaluation
+    record: TangentData  # at the grid nodes; sign reference off-grid
     mode: str  # "curve_normal" | "surface_normal"
     gram_drift_max: float
     final_gram_dev: float
@@ -94,14 +98,11 @@ class ParallelFields:
     def n_fields(self) -> int:
         return self.vectors.shape[0]
 
-    def field_derivatives(self, data: TangentData) -> np.ndarray:
-        """Exact ODE right-hand side at the grid nodes for every field,
-        from the grid's record ``data = TangentEvaluator(curve).at(grid,
-        tau_samples)``. Returns shape (n_fields, n_samples, dim)."""
-        out = np.empty_like(self.vectors)
-        for i in range(len(self.grid)):
-            out[:, i, :] = _rhs(self.mode, data[i], self.vectors[:, i, :])
-        return out
+    def field_derivatives(self) -> np.ndarray:
+        """Exact ODE right-hand side at the grid nodes for every field.
+        Returns shape (n_fields, n_samples, dim)."""
+        m = _connection(self.mode, self.record)[0]
+        return np.einsum("fnk,nkj->fnj", self.vectors, m)
 
     def eval_at(self, ts) -> np.ndarray:
         """Evaluate the fields off-grid by a short RK4 step from the
@@ -114,27 +115,27 @@ class ParallelFields:
         # start, middle and end of every step, in the order the steps run
         points = np.stack([t0[off], t0[off] + 0.5 * h[off],
                            t0[off] + h[off]], axis=1).ravel()
-        refs = np.repeat(self.tau_samples[nearest[off]], 3, axis=0)
+        refs = np.repeat(self.record.tau[nearest[off]], 3, axis=0)
         data = TangentEvaluator(self.curve).at(points, refs)
-        out = self.vectors[:, nearest, :].copy()
-        for m, j in enumerate(off):
-            out[:, j, :] = _rk4_step(self.mode, h[j], out[:, j, :],
-                                     data[3 * m], data[3 * m + 1],
-                                     data[3 * m + 2])
+        m = _connection(self.mode, data)[0]
+        out = self.vectors[:, nearest, :]
+        steps = _step_matrices(h[off], m[0::3], m[1::3], m[2::3])
+        out[:, off, :] = np.einsum("fnk,nkj->fnj", out[:, off, :], steps)
         return out
 
 
-def _gram_deviation(rows) -> float:
-    m = np.stack(rows)
-    g = m @ m.T
-    return float(np.abs(g - np.eye(len(rows))).max())
+def _gram_deviation(rows: np.ndarray) -> float:
+    """Largest |G - I| of the Gram matrices of rows (..., r, dim)."""
+    g = rows @ np.swapaxes(rows, -1, -2)
+    return float(np.abs(g - np.eye(rows.shape[-2])).max())
 
 
 def _transport(curve, grid, ref_taus, seeds, mode, renormalize,
                reverse) -> ParallelFields:
-    """RK4 transport of orthonormal seeds along the grid; each step reuses
-    the record at its end as the next step's start and as the basis the
-    fields are checked and renormalized against."""
+    """RK4 transport of orthonormal seeds along the grid: one record of
+    the nodes and step midpoints gives every step's matrix, and the
+    fields are checked and renormalized against the basis at each step's
+    end."""
     grid = np.asarray(grid, dtype=float)
     ref_taus = np.asarray(ref_taus, dtype=float)
     n = len(grid)
@@ -145,13 +146,14 @@ def _transport(curve, grid, ref_taus, seeds, mode, renormalize,
     points = np.empty(2 * n - 1)
     points[0::2] = grid[idx]
     points[1::2] = t0 + 0.5 * hs
-    refs = np.empty((2 * n - 1, curve.dim))
-    refs[0::2] = ref_taus[idx]
-    refs[1::2] = ref_taus[idx[:-1]]
+    # a midpoint takes the sign reference of its step's start node
+    refs = np.repeat(ref_taus[idx], 2, axis=0)[:-1]
     data = TangentEvaluator(curve).at(points, refs)
-    d = data[0]
+    m, _, basis = _connection(mode, data)
+    steps = _step_matrices(hs, m[0:-1:2], m[1::2], m[2::2])
+    basis = basis[0::2]
     y = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if _gram_deviation(_connection(mode, d)[2] + list(y)) > _SEED_ORTHO_TOL:
+    if _gram_deviation(np.concatenate([basis[0], y])) > _SEED_ORTHO_TOL:
         raise ValueError(
             f"initial {mode.replace('_', '-')} vectors must be orthonormal "
             f"and orthogonal to the frame at the start point (tolerance "
@@ -161,30 +163,28 @@ def _transport(curve, grid, ref_taus, seeds, mode, renormalize,
     vectors[:, idx[0], :] = y
     drift_max = 0.0
     for step, b in enumerate(idx[1:]):
-        t1 = grid[b]
-        d1 = data[2 * step + 2]
-        y = _rk4_step(mode, hs[step], y, d, data[2 * step + 1], d1)
-        d = d1
-        basis = _connection(mode, d)[2]
-        drift = _gram_deviation(basis + list(y))
+        y = y @ steps[step]
+        drift = _gram_deviation(np.concatenate([basis[step + 1], y]))
         drift_max = max(drift_max, drift)
         if drift > _DRIFT_LIMIT:
             raise GridTooCoarseError(
-                f"frame transport step rejected at t={t1}: orthonormality "
-                f"drift {drift:.3e} exceeds {_DRIFT_LIMIT:.1e}"
+                f"frame transport step rejected at t={grid[b]}: "
+                f"orthonormality drift {drift:.3e} exceeds "
+                f"{_DRIFT_LIMIT:.1e}"
             )
         if renormalize:
-            fixed = gram_schmidt(y, against=basis, pivot_tol=1e-8)
+            fixed = gram_schmidt(y, against=basis[step + 1], pivot_tol=1e-8)
             if len(fixed) != len(y):
                 raise GridTooCoarseError(
-                    f"frame transport degenerated at t={t1}"
+                    f"frame transport degenerated at t={grid[b]}"
                 )
             y = np.array(fixed)
         vectors[:, b, :] = y
-    final_dev = _gram_deviation(_connection(mode, d)[2] + list(y))
+    # idx is its own inverse: grid node i is step position idx[i]
     return ParallelFields(
-        curve=curve, grid=grid, vectors=vectors, tau_samples=ref_taus,
-        mode=mode, gram_drift_max=drift_max, final_gram_dev=final_dev,
+        curve=curve, grid=grid, vectors=vectors, record=data[2 * idx],
+        mode=mode, gram_drift_max=drift_max,
+        final_gram_dev=_gram_deviation(np.concatenate([basis[-1], y])),
         renormalized=renormalize,
     )
 
@@ -215,7 +215,8 @@ def surface_normal_transport(curve, grid, ref_taus, seeds,
 
 @dataclass
 class AdaptedFrame:
-    """Orthonormal frame {tau, mu, nu_1..nu_{p-1}} sampled along a curve."""
+    """Orthonormal frame {tau, mu, nu_1..nu_{p-1}} sampled along a curve,
+    with the record of the grid it was built from."""
 
     curve: Curve
     grid: np.ndarray
@@ -224,17 +225,14 @@ class AdaptedFrame:
     kappa: np.ndarray  # (N,)
     nus: np.ndarray  # (p-1, N, dim)
     gram_drift_max: float
+    record: TangentData
 
     @property
     def n_normals(self) -> int:
         return self.nus.shape[0]
 
     def gram_deviation(self) -> float:
-        devs = []
-        for i in range(len(self.grid)):
-            rows = [self.tau[i], self.mu[i]] + [nu[i] for nu in self.nus]
-            devs.append(_gram_deviation(rows))
-        return max(devs)
+        return _gram_deviation(np.stack([self.tau, self.mu, *self.nus], axis=1))
 
 
 def adapted_frame(curve: Curve, grid, nu0=None, k_max: int = DEFAULT_K_MAX,
@@ -280,12 +278,20 @@ def adapted_frame(curve: Curve, grid, nu0=None, k_max: int = DEFAULT_K_MAX,
         drift = fields.gram_drift_max
     return AdaptedFrame(
         curve=curve, grid=grid, tau=tf.tau, mu=mu, kappa=kappa, nus=nus,
-        gram_drift_max=drift,
+        gram_drift_max=drift, record=data,
     )
 
 
 # ---------------------------------------------------------------------------
 # Invariants
+
+
+def _projection(mode: str, record: TangentData, vectors: np.ndarray):
+    """(a, c) over a record: the speed ``a = f' . tau`` and the
+    coefficients ``c_i = nu_i . b`` of the fields ``vectors`` on the
+    transport's connection vector b."""
+    a = np.einsum("nk,nk->n", record.fprime, record.tau)
+    return a, np.einsum("fnk,nk->fn", vectors, _connection(mode, record)[1])
 
 
 @dataclass
@@ -300,15 +306,7 @@ class InvariantProfile:
 
 
 def invariants(curve: Curve, frame: AdaptedFrame) -> InvariantProfile:
-    d = TangentEvaluator(curve).at(frame.grid, frame.tau)
-    n = len(frame.grid)
-    a = np.array([float(np.dot(d.fprime[i], frame.tau[i])) for i in range(n)])
-    ells = np.empty((frame.n_normals, n))
-    if frame.n_normals:
-        mu_p = d.normal()[1]
-        for i in range(n):
-            for j in range(frame.n_normals):
-                ells[j, i] = float(np.dot(mu_p[i], frame.nus[j, i]))
+    a, ells = _projection("surface_normal", frame.record, frame.nus)
     return InvariantProfile(grid=frame.grid, a=a, kappa=frame.kappa.copy(),
                             ells=ells)
 
@@ -326,12 +324,7 @@ class BishopInvariants:
 def bishop_invariants(curve: Curve, fields: ParallelFields) -> BishopInvariants:
     if fields.mode != "curve_normal":
         raise ValueError("bishop invariants need curve-normal parallel fields")
-    d = TangentEvaluator(curve).at(fields.grid, fields.tau_samples)
-    n = len(fields.grid)
-    a = np.array([float(np.dot(d.fprime[i], d.tau[i])) for i in range(n)])
-    kappas = np.empty((fields.n_fields, n))
-    for i in range(n):
-        kappas[:, i] = fields.vectors[:, i, :] @ d.tau_p[i]
+    a, kappas = _projection(fields.mode, fields.record, fields.vectors)
     return BishopInvariants(grid=fields.grid, a=a, kappas=kappas)
 
 
@@ -375,20 +368,20 @@ def structure_residuals_adapted(curve: Curve, frame: AdaptedFrame,
     tau' = kappa mu, mu' = -kappa tau + sum ell_i nu_i, nu_i' = -ell_i mu,
     f' = a tau, with frame derivatives by central differences at interior
     samples."""
-    fp = TangentEvaluator(curve).at(frame.grid).fprime
     rows = {"tau": frame.tau, "mu": frame.mu}
     rows.update((f"nu{j + 1}", nu) for j, nu in enumerate(frame.nus))
     omega = np.zeros((len(rows), len(rows), len(frame.grid)))
     omega[0, 1], omega[1, 0] = profile.kappa, -profile.kappa
     omega[1, 2:], omega[2:, 1] = profile.ells, -profile.ells
-    return _frame_residuals(frame.grid, fp, profile.a, rows, omega)
+    return _frame_residuals(frame.grid, frame.record.fprime, profile.a, rows,
+                            omega)
 
 
 def structure_residuals_bishop(curve: Curve, fields: ParallelFields,
                                inv: BishopInvariants) -> dict:
     """Max scaled residuals of the curve-normal frame system
     tau' = sum kappa_i nu_i, nu_i' = -kappa_i tau, f' = a tau."""
-    data = TangentEvaluator(curve).at(fields.grid, fields.tau_samples)
+    data = fields.record
     rows = {"tau": data.tau}
     rows.update((f"nu{j + 1}", nu) for j, nu in enumerate(fields.vectors))
     omega = np.zeros((len(rows), len(rows), len(fields.grid)))

@@ -127,7 +127,8 @@ class TangentData:
 
     A record of N nodes carries the node axis first: ``t`` and ``kappa``
     have shape (N,), the vectors (N, dim), and ``mu``/``mu_p`` hold NaN
-    rows where they are undefined. ``record[i]`` is the record of node i.
+    rows where they are undefined. ``record[i]`` is the record of node i,
+    ``record[index]`` that of a slice or an index array of nodes.
     """
 
     t: float
@@ -139,7 +140,9 @@ class TangentData:
     mu: np.ndarray | None
     mu_p: np.ndarray | None
 
-    def __getitem__(self, i: int) -> "TangentData":
+    def __getitem__(self, i) -> "TangentData":
+        if not isinstance(i, (int, np.integer)):
+            return TangentData(*(v[i] for v in vars(self).values()))
         defined = not np.isnan(self.mu[i, 0])
         return TangentData(
             float(self.t[i]), self.fprime[i], self.fsecond[i], self.tau[i],

@@ -85,12 +85,12 @@ def _check_grid_match(grid_a, grid_b, what: str):
         raise ValueError(f"{what} must share the frame's parameter grid")
 
 
-def _ruling_fields(curve, tau_samples, t_grid, ruling):
-    """Per-sample ruling vectors and their t-derivatives."""
+def _ruling_fields(curve, data, ruling):
+    """Points, velocities, ruling vectors and their t-derivatives at the
+    nodes of the grid record ``data``."""
     if ruling not in RULINGS:
         raise ValueError(f"ruling must be one of {RULINGS}")
-    pts = curve.points(t_grid)
-    data = TangentEvaluator(curve).at(t_grid, tau_samples)
+    pts = curve.points(data.t)
     if ruling == "unit":
         return pts, data.fprime, data.tau, data.tau_p
     return pts, data.fprime, data.fprime, data.fsecond
@@ -102,7 +102,8 @@ def tangent_map(curve: Curve, frame: TangentField, t_grid, s_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     s_grid = np.asarray(s_grid, dtype=float)
     _check_grid_match(t_grid, frame.grid, "tangent map t-grid")
-    pts, fp, r, rp = _ruling_fields(curve, frame.tau, t_grid, ruling)
+    pts, fp, r, rp = _ruling_fields(
+        curve, TangentEvaluator(curve).at(t_grid, frame.tau), ruling)
     points = pts[:, None, :] + s_grid[None, :, None] * r[:, None, :]
     jt = fp[:, None, :] + s_grid[None, :, None] * rp[:, None, :]
     js = np.broadcast_to(r[:, None, :], jt.shape)
@@ -133,10 +134,9 @@ def normal_map(curve: Curve, fields: ParallelFields, t_grid,
 
     n, d = len(t_grid), curve.dim
     pts = curve.points(t_grid)
-    data = TangentEvaluator(curve).at(t_grid, fields.tau_samples)
-    fp = data.fprime
+    fp = fields.record.fprime
     nu = fields.vectors  # (p, n, d)
-    nup = fields.field_derivatives(data)
+    nup = fields.field_derivatives()
 
     shape = (n,) + tuple(len(u) for u in u_axes)
     mesh = np.meshgrid(*u_axes, indexing="ij")  # p arrays of shape shape[1:]
@@ -177,10 +177,9 @@ def canal_surface(curve: Curve, fields: ParallelFields, r: float, t_grid,
     angle_grid = np.asarray(angle_grid, dtype=float)
     _check_grid_match(t_grid, fields.grid, "canal t-grid")
     pts = curve.points(t_grid)
-    data = TangentEvaluator(curve).at(t_grid, fields.tau_samples)
-    fp = data.fprime
+    fp = fields.record.fprime
     nu1, nu2 = fields.vectors
-    nu1p, nu2p = fields.field_derivatives(data)
+    nu1p, nu2p = fields.field_derivatives()
     c = np.cos(angle_grid)[None, :, None]
     s = np.sin(angle_grid)[None, :, None]
     points = pts[:, None, :] + r * (c * nu1[:, None, :] + s * nu2[:, None, :])
@@ -212,7 +211,7 @@ def parallel_of_tangent(curve: Curve, frame: AdaptedFrame, offsets, t_grid,
     s_grid = np.asarray(s_grid, dtype=float)
     _check_grid_match(t_grid, frame.grid, "parallel t-grid")
     offsets = _check_offsets(frame.n_normals, offsets)
-    pts, fp, r, rp = _ruling_fields(curve, frame.tau, t_grid, ruling)
+    pts, fp, r, rp = _ruling_fields(curve, frame.record, ruling)
     nu = frame.nus
     nup = -invariants(curve, frame).ells[:, :, None] * frame.mu  # -ell_i mu
     offset_vec = np.tensordot(offsets, nu, axes=(0, 0))  # (n, d)
@@ -443,8 +442,7 @@ def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
         offset = u @ nus[:, 3 * m + side, :]
         return curve.point(ts[m, side]) + offset, offset
 
-    max_entry = 0.0
-    count = 0
+    entries = []
     for m in range(len(sample_ts)):
         for u0 in u_points:
             npar = 1 + p
@@ -462,10 +460,10 @@ def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
                 dx[a] = (xp - xm) / (2.0 * fd_step)
                 dp[a] = (pp - pm) / (2.0 * fd_step)
             form = dp @ dx.T
-            entry = float(np.abs(form - form.T).max())
-            max_entry = max(max_entry, entry)
-            count += 1
-    return SymplecticReport(max_entry=max_entry, samples=count)
+            entries.append(np.abs(form - form.T).max())
+    # np.max, unlike max(), keeps a NaN entry
+    return SymplecticReport(max_entry=float(np.max(entries)),
+                            samples=len(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +499,11 @@ def normal_flatness_residual(curve: Curve, frame: AdaptedFrame,
     if frame.n_normals == 0:
         return NormalFlatnessReport(0.0, 0, 0, True)
     nu_dot = (nu[:, 2:, :] - nu[:, :-2, :]) / (2.0 * h)
-    data = TangentEvaluator(curve).at(t_grid[1:-1], frame.tau[1:-1])
 
     max_res = 0.0
     checked = skipped = 0
     for i in range(1, len(t_grid) - 1):
-        d = data[i - 1]
+        d = frame.record[i]
         for s in s_grid:
             jt = d.fprime + s * d.tau_p
             jac = np.stack([jt, d.tau], axis=1)

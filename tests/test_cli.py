@@ -9,6 +9,7 @@ import pytest
 
 from frontals.cli import main
 from frontals.curves import ExprCurve
+from frontals.frontal import TangentEvaluator
 
 
 def run_cli(argv):
@@ -273,6 +274,27 @@ class TestExitCodes:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("option", ["--t-steps", "--s-steps"])
+    def test_zero_step_count(self, option):
+        rc, out, err = run_cli(["invariants", "--curve", "helix", option, "0"])
+        assert rc == 1 and out == ""
+        assert "step counts must be >= 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--check", "symplectic", "--fd-step", "0"],
+        ["verify", "--check", "symplectic", "--fd-step", "-0.0001"],
+        ["verify", "--check", "symplectic", "--fd-step", "nan"],
+        ["verify", "--check", "symplectic", "--fd-step", "inf"],
+        ["surface", "--kind", "can", "--r", "0"],
+        ["surface", "--kind", "can", "--r", "-0.3"],
+        ["surface", "--kind", "can", "--r", "nan"],
+        ["frontality", "--k-max", "1"],
+    ], ids=lambda a: "-".join(a[-2:]))
+    def test_out_of_range_option(self, argv):
+        rc, out, err = run_cli(argv + ["--curve", "helix"])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_config_curve_pipeline(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
@@ -464,3 +486,25 @@ class TestJetCallsPerCommand:
         counts = [self.count_jet_calls(monkeypatch, argv) for argv in argvs]
         assert counts[0] == counts[1]
         assert counts[2] == counts[3]
+
+    # a transport evaluates its nodes and midpoints in one record and
+    # keeps the node part; frames, invariants, residuals and the surfaces
+    # built on them read that record instead of evaluating the grid again
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify", "--curve", "helix", "--check", "structure"], 3),
+        (["invariants", "--curve", "helix"], 2),
+        (["verify", "--curve", "example22", "--check", "theorem22"], 3),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
+    def test_grid_records_per_command(self, monkeypatch, argv, expected):
+        calls = []
+        original = TangentEvaluator.at
+
+        def counting(self, t, ref=None):
+            if np.ndim(t):
+                calls.append(np.size(t))
+            return original(self, t, ref)
+
+        monkeypatch.setattr(TangentEvaluator, "at", counting)
+        rc, _, err = run_cli(argv)
+        assert rc == 0, err
+        assert len(calls) == expected, calls

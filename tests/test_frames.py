@@ -101,6 +101,45 @@ class TestBishopTransport:
         assert np.array_equal(batch[:, 1, :], fields.vectors[:, 5, :])
 
 
+def double_reflection(points, taus, seeds):
+    """Rotation-minimizing transport of the seeds by the double-reflection
+    method (Wang, Juttler, Zheng & Liu, ACM TOG 27(1), 2008): each step
+    reflects in the chord x_{n+1} - x_n, then in the difference of the
+    next tangent and the reflected tangent. Shares no code with the RK4
+    transport; a zero reflection vector skips its reflection."""
+    out = np.empty((len(seeds), len(points), points.shape[1]))
+    out[:, 0] = r = np.asarray(seeds, dtype=float)
+    for n in range(len(points) - 1):
+        t = taus[n]
+        for v in (points[n + 1] - points[n], None):
+            if v is None:
+                v = taus[n + 1] - t
+            c = v @ v
+            if c > 0.0:
+                r = r - (2.0 / c) * np.outer(r @ v, v)
+                t = t - (2.0 / c) * (t @ v) * v
+        out[:, n + 1] = r
+    return out
+
+
+class TestDoubleReflectionOracle:
+    @pytest.mark.parametrize("cid", ["helix", "r4curve"])
+    def test_bishop_transport_converges_to_double_reflection(self, cid):
+        curve = get_curve(cid)
+        distances = []
+        for n in (101, 201, 401, 801):
+            grid = curve.grid(n)
+            tf = unit_tangent(curve, grid)
+            seeds = orthonormal_completion([tf.tau[0]], curve.dim,
+                                           curve.codim)
+            fields = bishop_transport(tf, seeds)
+            oracle = double_reflection(curve.points(grid), tf.tau, seeds)
+            distances.append(np.abs(fields.vectors - oracle).max())
+        assert distances[0] <= 1e-7
+        orders = np.log2(np.array(distances[:-1]) / distances[1:])
+        assert ((orders >= 3.5) & (orders <= 4.5)).all(), orders
+
+
 class TestAdaptedFrame:
     def test_example22_mu(self):
         entry = get_entry("example22")

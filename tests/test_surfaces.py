@@ -12,7 +12,7 @@ from frontals.frames import (
     bishop_transport,
     invariants,
 )
-from frontals.frontal import unit_tangent
+from frontals.frontal import TangentEvaluator, unit_tangent
 from frontals.linalg import orthonormal_column_basis, principal_angles
 from frontals.surfaces import (
     canal_surface,
@@ -396,6 +396,15 @@ class TestSymplecticPullback:
         report = symplectic_pullback_check(entry.curve, fields)
         assert report.max_entry <= 1e-6
 
+    def test_zero_step_is_not_a_pass(self):
+        # a zero step makes every difference 0/0; the NaN must reach the
+        # reported maximum instead of being dropped by the comparison
+        entry = get_entry("circle")
+        fields = build_bishop(entry, np.linspace(0, 2 * math.pi, 21))
+        with np.errstate(invalid="ignore"):
+            report = symplectic_pullback_check(entry.curve, fields, 0.0)
+        assert np.isnan(report.max_entry)
+
 
 class TestNormalFlatnessOfTangentSurface:
     def test_r4_curve(self):
@@ -424,7 +433,7 @@ class TestNormalFlatnessOfTangentSurface:
             mu=np.tile([0.0, 1.0, 0.0], (101, 1)),
             kappa=np.zeros(101),
             nus=np.tile([0.0, 0.0, 1.0], (1, 101, 1)).reshape(1, 101, 3),
-            gram_drift_max=0.0,
+            gram_drift_max=0.0, record=TangentEvaluator(c).at(t, tau),
         )
         report = normal_flatness_residual(c, frame, np.linspace(-1, 1, 5))
         assert report.vacuous
