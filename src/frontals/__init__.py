@@ -29,11 +29,13 @@ from .expressions import (
 from .frames import (
     AdaptedFrame,
     BishopInvariants,
+    GridRecord,
     InvariantProfile,
     ParallelFields,
     adapted_frame,
     bishop_invariants,
     bishop_transport,
+    grid_record,
     inflection_points,
     invariants,
     structure_residuals_adapted,

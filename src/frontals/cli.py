@@ -19,7 +19,7 @@ import numpy as np
 
 from . import corpus
 from .config import load_config
-from .errors import ConfigError, InflectionError, MathPreconditionError
+from .errors import ConfigError, MathPreconditionError
 from .exports import (
     csv_lines,
     fmt,
@@ -32,11 +32,12 @@ from .frames import (
     adapted_frame,
     bishop_invariants,
     bishop_transport,
+    grid_record,
     invariants,
     structure_residuals_adapted,
     structure_residuals_bishop,
 )
-from .frontal import TangentEvaluator, contact_orders, unit_tangent
+from .frontal import contact_orders, unit_tangent
 from .linalg import orthonormal_completion
 from .surfaces import (
     SurfaceGrid,
@@ -92,11 +93,15 @@ class _CurveContext:
             s_range = tuple(args.s_range)
         if t_steps < 2 or s_steps < 2:
             raise ConfigError("step counts must be >= 2")
-        for name in ("fd_step", "r"):
-            value = getattr(args, name, 1.0)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"--{name.replace('_', '-')} must be "
-                                  f"finite and > 0")
+        for name in ("t0", "u", "s_range", "fd_step", "r", "tol"):
+            value = getattr(args, name, None)
+            if value is None:
+                continue
+            flag = "--" + name.replace("_", "-")
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{flag} must be finite")
+            if name in ("fd_step", "r", "tol") and not value > 0.0:
+                raise ConfigError(f"{flag} must be > 0")
         if getattr(args, "k_max", 2) < 2:
             raise ConfigError("--k-max must be >= 2")
         self.t_steps = t_steps
@@ -111,20 +116,20 @@ class _CurveContext:
     def s_grid(self):
         return np.linspace(self.s_range[0], self.s_range[1], self.s_steps)
 
-    def frame_seed(self, t0):
-        if self.entry is not None and self.entry.frame_seed is not None:
-            return self.entry.frame_seed(t0)
-        return None
+    def frame(self, record):
+        """The adapted frame on a grid record, seeded by the corpus
+        entry's frame seed where it has one."""
+        seed = None if self.entry is None else self.entry.frame_seed
+        return adapted_frame(record, nu0=seed and seed(record.grid[0]))
 
-    def bishop_fields(self, t_grid):
-        tf = unit_tangent(self.curve, t_grid)
+    def bishop_fields(self, record):
         if self.entry is not None and self.entry.bishop_seed is not None:
-            seeds = self.entry.bishop_seed(t_grid[0])
+            seeds = self.entry.bishop_seed(record.grid[0])
         else:
             seeds = orthonormal_completion(
-                [tf.tau[0]], self.curve.dim, self.curve.codim
+                [record.nodes.tau[0]], self.curve.dim, self.curve.codim
             )
-        return bishop_transport(tf, seeds)
+        return bishop_transport(record, seeds)
 
     def offsets(self, args):
         wanted = self.curve.codim - 1
@@ -151,19 +156,13 @@ def _emit(lines, out_path):
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _frame_unless_straight(ctx, t_grid):
-    """The adapted frame on ``t_grid``, or None when |tau'| is below
-    ``_STRAIGHT_KAPPA`` on every node: such a curve has no adapted frame,
-    and any constant normal frame is parallel along it."""
-    try:
-        frame = adapted_frame(ctx.curve, t_grid,
-                              nu0=ctx.frame_seed(t_grid[0]))
-    except InflectionError:
-        kappa = TangentEvaluator(ctx.curve).at(t_grid).kappa
-        if (kappa < _STRAIGHT_KAPPA).all():
-            return None
-        raise
-    return None if frame.kappa.max() < _STRAIGHT_KAPPA else frame
+def _frame_unless_straight(ctx, record):
+    """The adapted frame on the record's grid, or None when |tau'| is
+    below ``_STRAIGHT_KAPPA`` on every node: such a curve has no adapted
+    frame, and any constant normal frame is parallel along it."""
+    if (record.nodes.kappa < _STRAIGHT_KAPPA).all():
+        return None
+    return ctx.frame(record)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +176,10 @@ def cmd_invariants(args) -> int:
     q = curve.codim - 1
     n = len(t_grid)
     header = ["t", "a", "kappa"] + [f"ell_{i + 1}" for i in range(q)]
-    frame = _frame_unless_straight(ctx, t_grid)
+    record = grid_record(curve, t_grid)
+    frame = _frame_unless_straight(ctx, record)
     if frame is None:
-        d = TangentEvaluator(curve).at(t_grid, unit_tangent(curve, t_grid).tau)
-        a = np.einsum("nk,nk->n", d.fprime, d.tau)
+        a = np.einsum("nk,nk->n", record.nodes.fprime, record.nodes.tau)
         kappa, ells = np.zeros(n), np.zeros((q, n))
     else:
         prof = invariants(curve, frame)
@@ -202,7 +201,7 @@ def _build_surface(ctx, args) -> SurfaceGrid:
         tf = unit_tangent(curve, t_grid)
         return tangent_map(curve, tf, t_grid, ctx.s_grid, ruling=args.ruling)
     if args.kind == "nor":
-        fields = ctx.bishop_fields(t_grid)
+        fields = ctx.bishop_fields(grid_record(curve, t_grid))
         # the normal map is sampled over all 1+p parameters; keep the
         # default per-axis resolution tame for higher codimension
         p = curve.codim
@@ -214,11 +213,11 @@ def _build_surface(ctx, args) -> SurfaceGrid:
             )
         return normal_map(curve, fields, t_grid, u_axis)
     if args.kind == "can":
-        fields = ctx.bishop_fields(t_grid)
+        fields = ctx.bishop_fields(grid_record(curve, t_grid))
         theta = np.linspace(0.0, 2.0 * math.pi, ctx.s_steps)
         return canal_surface(curve, fields, args.r, t_grid, theta)
     offsets = ctx.offsets(args)
-    frame = adapted_frame(curve, t_grid, nu0=ctx.frame_seed(t_grid[0]))
+    frame = ctx.frame(grid_record(curve, t_grid))
     if args.kind == "pal":
         return parallel_of_tangent(
             curve, frame, offsets, t_grid, ctx.s_grid, ruling=args.ruling
@@ -283,7 +282,7 @@ def _verify_theorem22(ctx, args, tol):
         )
     offsets = ctx.offsets(args)
     t_grid = ctx.t_grid
-    frame = adapted_frame(curve, t_grid, nu0=ctx.frame_seed(t_grid[0]))
+    frame = ctx.frame(grid_record(curve, t_grid))
     prof = invariants(curve, frame)
     pal = parallel_of_tangent(curve, frame, offsets, t_grid, ctx.s_grid)
     dirx = directrix(curve, frame, prof, offsets)
@@ -307,7 +306,7 @@ def _verify_theorem21(ctx, args, tol):
     # along each ruling
     t_grid = _fine_grid(ctx)
     s_grid = np.linspace(ctx.s_range[0], ctx.s_range[1], min(ctx.s_steps, 9))
-    frame = _frame_unless_straight(ctx, t_grid)
+    frame = _frame_unless_straight(ctx, grid_record(ctx.curve, t_grid))
     if frame is None:
         return _Report(
             0.0, ["  every sampled node of the tangent map is singular"],
@@ -326,7 +325,7 @@ def _verify_theorem21(ctx, args, tol):
 
 
 def _verify_symplectic(ctx, args, tol):
-    fields = ctx.bishop_fields(ctx.t_grid)
+    fields = ctx.bishop_fields(grid_record(ctx.curve, ctx.t_grid))
     report = symplectic_pullback_check(ctx.curve, fields, fd_step=args.fd_step)
     return _Report(report.max_entry, [
         f"  max pullback entry of the canonical two-form = "
@@ -336,15 +335,15 @@ def _verify_symplectic(ctx, args, tol):
 
 def _verify_structure(ctx, args, tol):
     curve = ctx.curve
-    t_grid = _fine_grid(ctx)
+    record = grid_record(curve, _fine_grid(ctx))
     residuals = {}
 
-    fields = ctx.bishop_fields(t_grid)
+    fields = ctx.bishop_fields(record)
     binv = bishop_invariants(curve, fields)
     for key, val in structure_residuals_bishop(curve, fields, binv).items():
         residuals[f"curve_normal.{key}"] = val
 
-    frame = _frame_unless_straight(ctx, t_grid)
+    frame = _frame_unless_straight(ctx, record)
     if frame is not None:
         prof = invariants(curve, frame)
         for key, val in structure_residuals_adapted(curve, frame, prof).items():
@@ -353,7 +352,7 @@ def _verify_structure(ctx, args, tol):
     lines = [f"  {key}: {residuals[key]:.6e}" for key in sorted(residuals)]
     lines.append(f"  worst residual {worst:.6e} (tolerance {tol:.1e})")
     return _Report(worst, lines,
-                   {"residuals": residuals, "t_steps": len(t_grid)})
+                   {"residuals": residuals, "t_steps": len(record.grid)})
 
 
 #: check name -> (check function, default tolerance)
@@ -425,18 +424,11 @@ def cmd_frontality(args) -> int:
 
 def cmd_bishop(args) -> int:
     ctx = _CurveContext(args)
-    curve = ctx.curve
     t_grid = ctx.t_grid
-    fields = ctx.bishop_fields(t_grid)
-    header = ["t"]
-    for i in range(fields.n_fields):
-        header += [f"nu{i + 1}_x{j + 1}" for j in range(curve.dim)]
-    rows = []
-    for k, t in enumerate(t_grid):
-        row = [t]
-        for i in range(fields.n_fields):
-            row += list(fields.vectors[i, k])
-        rows.append(row)
+    fields = ctx.bishop_fields(grid_record(ctx.curve, t_grid))
+    header = ["t"] + [f"nu{i + 1}_x{j + 1}" for i in range(fields.n_fields)
+                      for j in range(ctx.curve.dim)]
+    rows = [[t, *fields.vectors[:, k].ravel()] for k, t in enumerate(t_grid)]
     _emit(csv_lines(header, rows), args.out)
     return 0
 

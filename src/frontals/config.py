@@ -25,8 +25,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .curves import ExprCurve
 from .errors import ConfigError
 from .expressions import FUNCTIONS, ParseError
@@ -180,9 +178,3 @@ def load_config(path) -> CurveConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
-
-
-def grid_arrays(cfg: CurveConfig):
-    t = np.linspace(cfg.domain[0], cfg.domain[1], cfg.grid.t_steps)
-    s = np.linspace(cfg.grid.s_range[0], cfg.grid.s_range[1], cfg.grid.s_steps)
-    return t, s

@@ -13,15 +13,21 @@ Two distinct parallel transports live here and must not be confused:
 
 Both are the linear system ``y' = y M`` with ``M = -b a^T``, where
 (a, b) is (tau, tau') or (mu, mu'), integrated by classical fourth-order
-Runge-Kutta on the supplied grid. One :meth:`TangentEvaluator.at` call
-evaluates the grid nodes and step midpoints, and batched matrix products
-turn it into every step's matrix ``P_n`` (one step is ``y -> y P_n``).
-The step loop multiplies by ``P_n``, measures the orthonormality drift
-(a step whose drift exceeds the limit is rejected as a too-coarse-grid
-signal) and renormalizes by Gram-Schmidt. The fields keep the node
-record, and the same ``M`` gives their exact derivatives at the nodes,
-their off-grid values by short RK4 steps, and, as the coefficients
-``nu_i . b``, the invariants ell_i and kappa_i.
+Runge-Kutta on the supplied grid.
+
+A grid is evaluated once: :func:`grid_record` takes the sign chain of
+:func:`unit_tangent` and one :meth:`TangentEvaluator.at` call over the
+grid nodes and the step midpoints, and the :class:`GridRecord` it returns
+is read by everything built on that grid: both transports (forward or
+reverse), the adapted frame, the invariants, the structure residuals
+and the surfaces. Batched matrix products turn its node and midpoint
+rows into every step's matrix ``P_n`` (one step is ``y -> y P_n``). The
+step loop multiplies by ``P_n``, measures the orthonormality drift (a
+step whose drift exceeds the limit is rejected as a too-coarse-grid
+signal) and renormalizes by Gram-Schmidt. The same ``M`` gives the
+fields' exact derivatives at the nodes, their off-grid values by short
+RK4 steps, and, as the coefficients ``nu_i . b``, the invariants ell_i
+and kappa_i.
 
 Tangent and frame derivatives come from jets of the curve (exact at the
 evaluation points), not from grid differencing; only fields that exist
@@ -39,10 +45,8 @@ import numpy as np
 from .curves import Curve
 from .errors import GridTooCoarseError, InflectionError
 from .frontal import (
-    DEFAULT_K_MAX,
     TangentData,
     TangentEvaluator,
-    TangentField,
     derivative_jets,
     leading_unit_jets,
     unit_tangent,
@@ -80,6 +84,30 @@ def _step_matrices(h, m0, mm, m1) -> np.ndarray:
     return np.eye(m0.shape[-1]) + (h / 6.0) * (m0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@dataclass(frozen=True)
+class GridRecord:
+    """Tangent data of a grid, evaluated once for everything built on it:
+    the rows of the grid nodes and of the midpoint ``t_n + h_n/2`` of
+    every RK4 step between them."""
+
+    curve: Curve
+    grid: np.ndarray
+    nodes: TangentData  # N rows, signs chained as by unit_tangent
+    mids: TangentData  # N - 1 rows, signs referred to the step's start
+
+
+def grid_record(curve: Curve, grid) -> GridRecord:
+    """The grid's record from one :func:`unit_tangent` sign chain and one
+    :meth:`TangentEvaluator.at` call over the nodes and step midpoints."""
+    grid = np.asarray(grid, dtype=float)
+    taus = unit_tangent(curve, grid).tau
+    points = np.empty(2 * len(grid) - 1)
+    points[0::2] = grid
+    points[1::2] = grid[:-1] + 0.5 * np.diff(grid)
+    data = TangentEvaluator(curve).at(points, np.repeat(taus, 2, axis=0)[:-1])
+    return GridRecord(curve, grid, data[0::2], data[1::2])
+
+
 @dataclass
 class ParallelFields:
     """Sampled parallel normal fields produced by a frame transport, with
@@ -88,11 +116,10 @@ class ParallelFields:
     curve: Curve
     grid: np.ndarray
     vectors: np.ndarray  # (n_fields, n_samples, dim)
-    record: TangentData  # at the grid nodes; sign reference off-grid
+    record: GridRecord
     mode: str  # "curve_normal" | "surface_normal"
     gram_drift_max: float
     final_gram_dev: float
-    renormalized: bool
 
     @property
     def n_fields(self) -> int:
@@ -101,7 +128,7 @@ class ParallelFields:
     def field_derivatives(self) -> np.ndarray:
         """Exact ODE right-hand side at the grid nodes for every field.
         Returns shape (n_fields, n_samples, dim)."""
-        m = _connection(self.mode, self.record)[0]
+        m = _connection(self.mode, self.record.nodes)[0]
         return np.einsum("fnk,nkj->fnj", self.vectors, m)
 
     def eval_at(self, ts) -> np.ndarray:
@@ -115,7 +142,7 @@ class ParallelFields:
         # start, middle and end of every step, in the order the steps run
         points = np.stack([t0[off], t0[off] + 0.5 * h[off],
                            t0[off] + h[off]], axis=1).ravel()
-        refs = np.repeat(self.record.tau[nearest[off]], 3, axis=0)
+        refs = np.repeat(self.record.nodes.tau[nearest[off]], 3, axis=0)
         data = TangentEvaluator(self.curve).at(points, refs)
         m = _connection(self.mode, data)[0]
         out = self.vectors[:, nearest, :]
@@ -130,41 +157,35 @@ def _gram_deviation(rows: np.ndarray) -> float:
     return float(np.abs(g - np.eye(rows.shape[-2])).max())
 
 
-def _transport(curve, grid, ref_taus, seeds, mode, renormalize,
+def _transport(record: GridRecord, seeds, mode, renormalize,
                reverse) -> ParallelFields:
-    """RK4 transport of orthonormal seeds along the grid: one record of
-    the nodes and step midpoints gives every step's matrix, and the
-    fields are checked and renormalized against the basis at each step's
-    end."""
-    grid = np.asarray(grid, dtype=float)
-    ref_taus = np.asarray(ref_taus, dtype=float)
-    n = len(grid)
-    idx = np.arange(n - 1, -1, -1) if reverse else np.arange(n)
-    # records at the start node, then each step's midpoint and end node
-    t0 = grid[idx[:-1]]
-    hs = grid[idx[1:]] - t0
-    points = np.empty(2 * n - 1)
-    points[0::2] = grid[idx]
-    points[1::2] = t0 + 0.5 * hs
-    # a midpoint takes the sign reference of its step's start node
-    refs = np.repeat(ref_taus[idx], 2, axis=0)[:-1]
-    data = TangentEvaluator(curve).at(points, refs)
-    m, _, basis = _connection(mode, data)
-    steps = _step_matrices(hs, m[0:-1:2], m[1::2], m[2::2])
-    basis = basis[0::2]
+    """RK4 transport of orthonormal seeds along the record's grid: its
+    node and midpoint rows give every step's matrix, and the fields are
+    checked and renormalized against the basis at each step's end. A
+    reverse transport runs the same steps backwards."""
+    grid = record.grid
+    m, _, basis = _connection(mode, record.nodes)
+    m_mid = _connection(mode, record.mids)[0]
+    h = np.diff(grid)
+    order = np.arange(len(grid))
+    if reverse:
+        order = order[::-1]
+        steps = _step_matrices(-h, m[1:], m_mid, m[:-1])[::-1]
+    else:
+        steps = _step_matrices(h, m[:-1], m_mid, m[1:])
     y = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if _gram_deviation(np.concatenate([basis[0], y])) > _SEED_ORTHO_TOL:
+    if _gram_deviation(np.concatenate([basis[order[0]], y])) > _SEED_ORTHO_TOL:
         raise ValueError(
             f"initial {mode.replace('_', '-')} vectors must be orthonormal "
             f"and orthogonal to the frame at the start point (tolerance "
             f"{_SEED_ORTHO_TOL:g})"
         )
-    vectors = np.empty((len(y), n, curve.dim))
-    vectors[:, idx[0], :] = y
+    vectors = np.empty((len(y), len(grid), record.curve.dim))
+    vectors[:, order[0], :] = y
     drift_max = 0.0
-    for step, b in enumerate(idx[1:]):
-        y = y @ steps[step]
-        drift = _gram_deviation(np.concatenate([basis[step + 1], y]))
+    for step, b in zip(steps, order[1:]):
+        y = y @ step
+        drift = _gram_deviation(np.concatenate([basis[b], y]))
         drift_max = max(drift_max, drift)
         if drift > _DRIFT_LIMIT:
             raise GridTooCoarseError(
@@ -173,40 +194,36 @@ def _transport(curve, grid, ref_taus, seeds, mode, renormalize,
                 f"{_DRIFT_LIMIT:.1e}"
             )
         if renormalize:
-            fixed = gram_schmidt(y, against=basis[step + 1], pivot_tol=1e-8)
+            fixed = gram_schmidt(y, against=basis[b], pivot_tol=1e-8)
             if len(fixed) != len(y):
                 raise GridTooCoarseError(
                     f"frame transport degenerated at t={grid[b]}"
                 )
             y = np.array(fixed)
         vectors[:, b, :] = y
-    # idx is its own inverse: grid node i is step position idx[i]
     return ParallelFields(
-        curve=curve, grid=grid, vectors=vectors, record=data[2 * idx],
+        curve=record.curve, grid=grid, vectors=vectors, record=record,
         mode=mode, gram_drift_max=drift_max,
-        final_gram_dev=_gram_deviation(np.concatenate([basis[-1], y])),
-        renormalized=renormalize,
+        final_gram_dev=_gram_deviation(np.concatenate([basis[order[-1]], y])),
     )
 
 
-def bishop_transport(tau_field: TangentField, nu0, renormalize: bool = True,
+def bishop_transport(record: GridRecord, nu0, renormalize: bool = True,
                      reverse: bool = False) -> ParallelFields:
     """Parallel-transport normal vectors of the curve's normal bundle.
 
-    Integrates ``nu' = -(nu . tau') tau`` with RK4 over the tangent
-    field's grid; the result is the unique parallel extension of the
-    initial vectors. ``reverse=True`` starts from the last grid point.
+    Integrates ``nu' = -(nu . tau') tau`` with RK4 over the record's
+    grid; the result is the unique parallel extension of the initial
+    vectors. ``reverse=True`` starts from the last grid point.
     """
-    return _transport(tau_field.curve, tau_field.grid, tau_field.tau, nu0,
-                      "curve_normal", renormalize, reverse)
+    return _transport(record, nu0, "curve_normal", renormalize, reverse)
 
 
-def surface_normal_transport(curve, grid, ref_taus, seeds,
+def surface_normal_transport(record: GridRecord, seeds,
                              renormalize: bool = True,
                              reverse: bool = False) -> ParallelFields:
     """Transport vectors parallel for the tangent surface's normal bundle."""
-    return _transport(curve, grid, ref_taus, seeds, "surface_normal",
-                      renormalize, reverse)
+    return _transport(record, seeds, "surface_normal", renormalize, reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +242,7 @@ class AdaptedFrame:
     kappa: np.ndarray  # (N,)
     nus: np.ndarray  # (p-1, N, dim)
     gram_drift_max: float
-    record: TangentData
+    record: GridRecord
 
     @property
     def n_normals(self) -> int:
@@ -235,50 +252,47 @@ class AdaptedFrame:
         return _gram_deviation(np.stack([self.tau, self.mu, *self.nus], axis=1))
 
 
-def adapted_frame(curve: Curve, grid, nu0=None, k_max: int = DEFAULT_K_MAX,
+def adapted_frame(record: GridRecord, nu0=None,
                   inflection_rel_tol: float = DEFAULT_INFLECTION_REL_TOL,
                   renormalize: bool = True) -> AdaptedFrame:
     """Build the adapted frame {tau, mu, nu_i} along a curve without
-    inflection points.
+    inflection points from its grid record.
 
-    tau comes from the chained unit tangent, mu = tau'/|tau'|, and the
-    nu_i are the surface-normal parallel transport of ``nu0`` (default: a
+    tau and mu = tau'/|tau'| are the record's node rows, and the nu_i
+    are the surface-normal parallel transport of ``nu0`` (default: a
     canonical Gram-Schmidt completion of the standard basis against
     {tau, mu} at the first grid point).
     """
-    grid = np.asarray(grid, dtype=float)
-    tf = unit_tangent(curve, grid, k_max=k_max)
-    data = TangentEvaluator(curve, k_max=k_max).at(grid, tf.tau)
-    mu = data.normal()[0]
-    kappa = data.kappa
-    n, d = len(grid), curve.dim
+    curve, grid, nodes = record.curve, record.grid, record.nodes
+    mu = nodes.normal()[0]
+    kappa = nodes.kappa
     if kappa.max() <= 0.0:
         raise InflectionError("inflection point in range: straight segment")
     if kappa.min() < inflection_rel_tol * kappa.max():
         worst = grid[int(np.argmin(kappa))]
         raise InflectionError(f"inflection point in range near t={worst}")
 
+    n, d = len(grid), curve.dim
     q = curve.codim - 1
     if q == 0:
         nus = np.empty((0, n, d))
         drift = 0.0
     else:
         if nu0 is None:
-            seeds = orthonormal_completion([tf.tau[0], mu[0]], d, q)
+            seeds = orthonormal_completion([nodes.tau[0], mu[0]], d, q)
         else:
             seeds = np.atleast_2d(np.asarray(nu0, dtype=float))
             if seeds.shape != (q, d):
                 raise ValueError(
                     f"expected {q} initial normal vector(s) of dimension {d}"
                 )
-        fields = surface_normal_transport(
-            curve, grid, tf.tau, seeds, renormalize=renormalize,
-        )
+        fields = surface_normal_transport(record, seeds,
+                                          renormalize=renormalize)
         nus = fields.vectors
         drift = fields.gram_drift_max
     return AdaptedFrame(
-        curve=curve, grid=grid, tau=tf.tau, mu=mu, kappa=kappa, nus=nus,
-        gram_drift_max=drift, record=data,
+        curve=curve, grid=grid, tau=nodes.tau, mu=mu, kappa=kappa, nus=nus,
+        gram_drift_max=drift, record=record,
     )
 
 
@@ -306,7 +320,7 @@ class InvariantProfile:
 
 
 def invariants(curve: Curve, frame: AdaptedFrame) -> InvariantProfile:
-    a, ells = _projection("surface_normal", frame.record, frame.nus)
+    a, ells = _projection("surface_normal", frame.record.nodes, frame.nus)
     return InvariantProfile(grid=frame.grid, a=a, kappa=frame.kappa.copy(),
                             ells=ells)
 
@@ -324,7 +338,7 @@ class BishopInvariants:
 def bishop_invariants(curve: Curve, fields: ParallelFields) -> BishopInvariants:
     if fields.mode != "curve_normal":
         raise ValueError("bishop invariants need curve-normal parallel fields")
-    a, kappas = _projection(fields.mode, fields.record, fields.vectors)
+    a, kappas = _projection(fields.mode, fields.record.nodes, fields.vectors)
     return BishopInvariants(grid=fields.grid, a=a, kappas=kappas)
 
 
@@ -373,15 +387,15 @@ def structure_residuals_adapted(curve: Curve, frame: AdaptedFrame,
     omega = np.zeros((len(rows), len(rows), len(frame.grid)))
     omega[0, 1], omega[1, 0] = profile.kappa, -profile.kappa
     omega[1, 2:], omega[2:, 1] = profile.ells, -profile.ells
-    return _frame_residuals(frame.grid, frame.record.fprime, profile.a, rows,
-                            omega)
+    return _frame_residuals(frame.grid, frame.record.nodes.fprime, profile.a,
+                            rows, omega)
 
 
 def structure_residuals_bishop(curve: Curve, fields: ParallelFields,
                                inv: BishopInvariants) -> dict:
     """Max scaled residuals of the curve-normal frame system
     tau' = sum kappa_i nu_i, nu_i' = -kappa_i tau, f' = a tau."""
-    data = fields.record
+    data = fields.record.nodes
     rows = {"tau": data.tau}
     rows.update((f"nu{j + 1}", nu) for j, nu in enumerate(fields.vectors))
     omega = np.zeros((len(rows), len(rows), len(fields.grid)))

@@ -370,7 +370,6 @@ class TangentField:
     grid: np.ndarray
     tau: np.ndarray
     sign_flips: tuple
-    sign_convention: str
 
     def __post_init__(self):
         if self.tau.shape != (len(self.grid), self.curve.dim):
@@ -378,7 +377,9 @@ class TangentField:
 
 
 def unit_tangent(curve: Curve, grid, k_max: int = DEFAULT_K_MAX) -> TangentField:
-    """Sample the unit tangent, chaining signs from the leftmost point."""
+    """Sample the unit tangent, chaining signs from the leftmost point:
+    the leading jet coefficient there, then consecutive samples with
+    positive inner product."""
     grid = np.asarray(grid, dtype=float)
     ev = TangentEvaluator(curve, k_max=k_max)
     raw = _values(ev.tau_jet_vec(grid, 0))
@@ -387,16 +388,8 @@ def unit_tangent(curve: Curve, grid, k_max: int = DEFAULT_K_MAX) -> TangentField
     step = np.ones(len(grid))
     step[flips] = -1.0
     taus = np.cumprod(step)[:, None] * raw
-    return TangentField(
-        curve=curve,
-        grid=grid,
-        tau=taus,
-        sign_flips=tuple(flips),
-        sign_convention=(
-            "leading jet coefficient at the leftmost grid point, then "
-            "chained so consecutive samples have positive inner product"
-        ),
-    )
+    return TangentField(curve=curve, grid=grid, tau=taus,
+                        sign_flips=tuple(flips))
 
 
 # ---------------------------------------------------------------------------

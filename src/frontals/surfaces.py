@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import Curve
-from .errors import InflectionError, MathPreconditionError
+from .errors import ConfigError, InflectionError, MathPreconditionError
 from .frames import (
     AdaptedFrame,
     InvariantProfile,
@@ -134,7 +134,7 @@ def normal_map(curve: Curve, fields: ParallelFields, t_grid,
 
     n, d = len(t_grid), curve.dim
     pts = curve.points(t_grid)
-    fp = fields.record.fprime
+    fp = fields.record.nodes.fprime
     nu = fields.vectors  # (p, n, d)
     nup = fields.field_derivatives()
 
@@ -177,7 +177,7 @@ def canal_surface(curve: Curve, fields: ParallelFields, r: float, t_grid,
     angle_grid = np.asarray(angle_grid, dtype=float)
     _check_grid_match(t_grid, fields.grid, "canal t-grid")
     pts = curve.points(t_grid)
-    fp = fields.record.fprime
+    fp = fields.record.nodes.fprime
     nu1, nu2 = fields.vectors
     nu1p, nu2p = fields.field_derivatives()
     c = np.cos(angle_grid)[None, :, None]
@@ -211,7 +211,7 @@ def parallel_of_tangent(curve: Curve, frame: AdaptedFrame, offsets, t_grid,
     s_grid = np.asarray(s_grid, dtype=float)
     _check_grid_match(t_grid, frame.grid, "parallel t-grid")
     offsets = _check_offsets(frame.n_normals, offsets)
-    pts, fp, r, rp = _ruling_fields(curve, frame.record, ruling)
+    pts, fp, r, rp = _ruling_fields(curve, frame.record.nodes, ruling)
     nu = frame.nus
     nup = -invariants(curve, frame).ells[:, :, None] * frame.mu  # -ell_i mu
     offset_vec = np.tensordot(offsets, nu, axes=(0, 0))  # (n, d)
@@ -277,7 +277,6 @@ class Directrix:
     points: np.ndarray
     tangency_residual: float
     tangency_floor: float
-    provenance: str
 
 
 def _five_point_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -331,7 +330,6 @@ def directrix(curve: Curve, frame: AdaptedFrame, profile: InvariantProfile,
     return Directrix(
         offsets=offsets, grid=frame.grid, points=g,
         tangency_residual=residual, tangency_floor=floor,
-        provenance="offsets along the shared tangent frame",
     )
 
 
@@ -380,8 +378,7 @@ def verify_right_equivalence(pal: SurfaceGrid, directrix_curve: Directrix,
     # collapsing to the forward fields
     if frame.n_normals:
         back = surface_normal_transport(
-            curve, frame.grid, frame.tau, frame.nus[:, -1, :], reverse=True,
-            renormalize=False,
+            frame.record, frame.nus[:, -1, :], reverse=True, renormalize=False,
         )
         nbar = back.vectors
         ells_bar = invariants(curve, replace(frame, nus=nbar)).ells
@@ -423,7 +420,8 @@ def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
     fields' range, at u = 0 and at one fixed nonzero u. Tangent and
     cotangent coordinates are identified by the Euclidean metric;
     partials are central differences of step ``fd_step`` in every
-    parameter direction.
+    parameter direction; a step so small that some difference would
+    have identical end points raises :class:`ConfigError`.
     """
     if fields.mode != "curve_normal":
         raise ValueError("symplectic check needs curve-normal parallel fields")
@@ -431,6 +429,11 @@ def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
     sample_ts = np.linspace(fields.grid[0], fields.grid[-1], 7)[1:-1]
     alt = np.array([0.3 * (-1.0) ** i / (1 + i) for i in range(p)])
     u_points = [np.zeros(p), alt]
+
+    coords = np.concatenate([sample_ts, *u_points])
+    if np.any(coords + fd_step == coords - fd_step):
+        raise ConfigError(f"fd_step {fd_step:g} gives a central difference "
+                          f"with identical end points")
 
     # the fields at every t the differences visit, in one evaluation:
     # row m of ts holds t0 + fd_step, t0 - fd_step and t0 itself
@@ -503,7 +506,7 @@ def normal_flatness_residual(curve: Curve, frame: AdaptedFrame,
     max_res = 0.0
     checked = skipped = 0
     for i in range(1, len(t_grid) - 1):
-        d = frame.record[i]
+        d = frame.record.nodes[i]
         for s in s_grid:
             jt = d.fprime + s * d.tau_p
             jac = np.stack([jt, d.tau], axis=1)

@@ -19,6 +19,7 @@ from frontals.frames import (
     adapted_frame,
     bishop_invariants,
     bishop_transport,
+    grid_record,
     invariants,
     structure_residuals_adapted,
     structure_residuals_bishop,
@@ -53,19 +54,19 @@ def fine_grid(curve, spacing=SPACING):
 
 def frame_and_profile(entry, grid, **kw):
     seed = entry.frame_seed(grid[0]) if entry.frame_seed else None
-    frame = adapted_frame(entry.curve, grid, nu0=seed, **kw)
+    frame = adapted_frame(grid_record(entry.curve, grid), nu0=seed, **kw)
     return frame, invariants(entry.curve, frame)
 
 
 def bishop_fields(entry, grid, **kw):
-    tf = unit_tangent(entry.curve, grid)
+    record = grid_record(entry.curve, grid)
     if entry.bishop_seed is not None:
         seeds = entry.bishop_seed(grid[0])
     else:
         seeds = orthonormal_completion(
-            [tf.tau[0]], entry.curve.dim, entry.curve.codim
+            [record.nodes.tau[0]], entry.curve.dim, entry.curve.codim
         )
-    return bishop_transport(tf, seeds, **kw), tf
+    return bishop_transport(record, seeds, **kw), record
 
 
 def test_criterion_01_invariant_profile():
@@ -105,7 +106,7 @@ def test_criterion_02_directrix_closed_form():
 def _equivalence_residual(entry_or_curve, offsets, n_t=201, n_s=101, seed=None):
     curve = getattr(entry_or_curve, "curve", entry_or_curve)
     grid = np.linspace(curve.domain[0], curve.domain[1], n_t)
-    frame = adapted_frame(curve, grid, nu0=seed)
+    frame = adapted_frame(grid_record(curve, grid), nu0=seed)
     prof = invariants(curve, frame)
     s_grid = np.linspace(-1.0, 1.0, n_s)
     pal = parallel_of_tangent(curve, frame, offsets, grid, s_grid)
@@ -122,7 +123,7 @@ def test_criterion_03_parallel_right_equivalence():
     # the directrix tangency invariant for the random curve, witnessed at
     # a resolution where the five-point stencil resolves 1e-5
     fine = fine_grid(cubic)
-    frame_f = adapted_frame(cubic, fine)
+    frame_f = adapted_frame(grid_record(cubic, fine))
     d_fine = directrix(cubic, frame_f, invariants(cubic, frame_f), [0.5])
     assert d_fine.tangency_residual <= 1e-5
     res_r4 = _equivalence_residual(get_curve("r4curve"), [0.3, -0.2])
@@ -164,7 +165,7 @@ def test_criterion_05_inflection_behaviour():
 
     # (b) the adapted frame must refuse a grid containing the inflection
     try:
-        adapted_frame(entry.curve, np.linspace(-1.0, 1.0, 201))
+        adapted_frame(grid_record(entry.curve, np.linspace(-1.0, 1.0, 201)))
         ok_b = False
     except InflectionError:
         ok_b = True
@@ -177,7 +178,8 @@ def test_criterion_05_inflection_behaviour():
     ok_c = True
     rows = []
     for grid in (nodes, -nodes[::-1]):
-        frame = adapted_frame(entry.curve, grid, inflection_rel_tol=1e-9)
+        frame = adapted_frame(grid_record(entry.curve, grid),
+                              inflection_rel_tol=1e-9)
         prof = invariants(entry.curve, frame)
         measured = np.abs(singular_locus_parallel(prof, [u]).s) / abs(u)
         oracle = _example23_torsion_over_curvature(grid)
@@ -229,10 +231,10 @@ def test_criterion_06_transport_quality():
     for cid in ("circle", "helix", "example22"):
         entry = get_entry(cid)
         grid = fine_grid(entry.curve)
-        fwd, tf = bishop_fields(entry, grid)
+        fwd, record = bishop_fields(entry, grid)
         worst_drift = max(worst_drift, fwd.gram_drift_max)
         worst_dev = max(worst_dev, fwd.final_gram_dev)
-        back = bishop_transport(tf, fwd.vectors[:, -1, :], reverse=True)
+        back = bishop_transport(record, fwd.vectors[:, -1, :], reverse=True)
         worst_round = max(worst_round, float(np.linalg.norm(
             back.vectors[:, 0, :] - fwd.vectors[:, 0, :], axis=-1).max()))
         raw, _ = bishop_fields(entry, grid, renormalize=False)
@@ -284,7 +286,7 @@ def test_criterion_07_structure_equations():
             steps = int(math.ceil((sub[1] - sub[0]) / spacing)) + 1
             grid = np.linspace(sub[0], sub[1], steps)
         seed = entry.frame_seed(grid[0]) if entry.frame_seed else None
-        frame = adapted_frame(entry.curve, grid, nu0=seed)
+        frame = adapted_frame(grid_record(entry.curve, grid), nu0=seed)
         prof = invariants(entry.curve, frame)
         worst = max(
             structure_residuals_adapted(entry.curve, frame, prof).values()

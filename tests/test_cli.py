@@ -289,6 +289,14 @@ class TestExitCodes:
         ["surface", "--kind", "can", "--r", "-0.3"],
         ["surface", "--kind", "can", "--r", "nan"],
         ["frontality", "--k-max", "1"],
+        ["verify", "--check", "symplectic", "--fd-step", "1e-300"],
+        ["frontality", "--t0", "inf"],
+        ["verify", "--check", "theorem22", "--u", "nan"],
+        ["surface", "--kind", "pal", "--u", "inf"],
+        ["surface", "--kind", "tan", "--s-range", "nan", "1"],
+        ["verify", "--check", "symplectic", "--tol", "nan"],
+        ["frontality", "--tol", "nan"],
+        ["frontality", "--tol", "0"],
     ], ids=lambda a: "-".join(a[-2:]))
     def test_out_of_range_option(self, argv):
         rc, out, err = run_cli(argv + ["--curve", "helix"])
@@ -466,6 +474,15 @@ class TestJetCallsPerCommand:
         assert rc == 0, err
         return len(calls)
 
+    # one order-1 sign chain and one order-3 evaluation per grid record,
+    # also on a straight line, where no adapted frame exists
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--curve", "line"],
+        ["verify", "--curve", "helix", "--check", "structure"],
+    ], ids="-".join)
+    def test_jets_per_grid_record(self, monkeypatch, argv):
+        assert self.count_jet_calls(monkeypatch, argv) == 2
+
     def test_invariants(self, monkeypatch):
         counts = [self.count_jet_calls(monkeypatch, [
             "invariants", "--curve", "helix", "--t-steps", steps])
@@ -487,13 +504,13 @@ class TestJetCallsPerCommand:
         assert counts[0] == counts[1]
         assert counts[2] == counts[3]
 
-    # a transport evaluates its nodes and midpoints in one record and
-    # keeps the node part; frames, invariants, residuals and the surfaces
-    # built on them read that record instead of evaluating the grid again
+    # a command evaluates its grid's nodes and step midpoints in one
+    # record, and both transports, the adapted frame, the straight-segment
+    # test and everything built on them read that record
     @pytest.mark.parametrize("argv, expected", [
-        (["verify", "--curve", "helix", "--check", "structure"], 3),
-        (["invariants", "--curve", "helix"], 2),
-        (["verify", "--curve", "example22", "--check", "theorem22"], 3),
+        (["verify", "--curve", "helix", "--check", "structure"], 1),
+        (["invariants", "--curve", "helix"], 1),
+        (["verify", "--curve", "example22", "--check", "theorem22"], 1),
     ], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
     def test_grid_records_per_command(self, monkeypatch, argv, expected):
         calls = []

@@ -3,7 +3,6 @@ import pytest
 
 from frontals.config import (
     CurveConfig,
-    grid_arrays,
     load_config,
     parse_config,
     substitute_params,
@@ -62,10 +61,8 @@ class TestConfig:
         builtin = get_curve("example22")
         for t in np.linspace(-1, 1, 7):
             assert curve.point(t) == pytest.approx(builtin.point(t))
-        assert cfg.grid.t_steps == 51
-        t, s = grid_arrays(cfg)
-        assert len(t) == 51 and len(s) == 11
-        assert (s[0], s[-1]) == (-2.0, 2.0)
+        assert (cfg.grid.t_steps, cfg.grid.s_steps) == (51, 11)
+        assert cfg.grid.s_range == (-2.0, 2.0)
 
     def test_defaults(self):
         cfg = parse_config(

@@ -12,6 +12,7 @@ from frontals.frames import (
     adapted_frame,
     bishop_invariants,
     bishop_transport,
+    grid_record,
     inflection_points,
     invariants,
     structure_residuals_adapted,
@@ -19,7 +20,6 @@ from frontals.frames import (
     surface_normal_transport,
     tangent_surface_unit_normal,
 )
-from frontals.frontal import unit_tangent
 from frontals.jets import derivative
 from frontals.linalg import orthonormal_completion
 
@@ -32,8 +32,8 @@ class TestBishopTransport:
     def test_circle_closed_form(self):
         entry = get_entry("circle")
         grid = np.linspace(0.0, 2.0 * math.pi, 2001)
-        tf = unit_tangent(entry.curve, grid)
-        fields = bishop_transport(tf, entry.bishop_seed(grid[0]))
+        record = grid_record(entry.curve, grid)
+        fields = bishop_transport(record, entry.bishop_seed(grid[0]))
         exp1 = sample(entry.get("bishop_field_1").value, grid)
         exp2 = sample(entry.get("bishop_field_2").value, grid)
         assert np.abs(fields.vectors[0] - exp1).max() <= 1e-6
@@ -42,8 +42,8 @@ class TestBishopTransport:
     def test_line_constant_fields(self):
         entry = get_entry("line")
         grid = np.linspace(-1, 1, 51)
-        tf = unit_tangent(entry.curve, grid)
-        fields = bishop_transport(tf, entry.bishop_seed(grid[0]))
+        record = grid_record(entry.curve, grid)
+        fields = bishop_transport(record, entry.bishop_seed(grid[0]))
         assert np.abs(fields.vectors[0] - np.array([0.0, 1.0, 0.0])).max() == 0.0
         assert np.abs(fields.vectors[1] - np.array([0.0, 0.0, 1.0])).max() == 0.0
 
@@ -52,7 +52,7 @@ class TestBishopTransport:
         # surface-normal system nu' = -(nu.mu') mu, not the curve-normal one
         entry = get_entry("example22")
         grid = np.linspace(0.0, 1.0, 501)
-        frame = adapted_frame(entry.curve, grid,
+        frame = adapted_frame(grid_record(entry.curve, grid),
                               nu0=entry.frame_seed(grid[0]))
         expected = sample(entry.get("nu").value, grid)
         assert np.abs(frame.nus[0] - expected).max() <= 1e-6
@@ -60,9 +60,9 @@ class TestBishopTransport:
     def test_forward_backward_roundtrip(self):
         entry = get_entry("circle")
         grid = np.linspace(0.0, 2.0 * math.pi, 1001)
-        tf = unit_tangent(entry.curve, grid)
-        fwd = bishop_transport(tf, entry.bishop_seed(grid[0]))
-        back = bishop_transport(tf, fwd.vectors[:, -1, :], reverse=True)
+        record = grid_record(entry.curve, grid)
+        fwd = bishop_transport(record, entry.bishop_seed(grid[0]))
+        back = bishop_transport(record, fwd.vectors[:, -1, :], reverse=True)
         err = np.linalg.norm(back.vectors[:, 0, :] - fwd.vectors[:, 0, :],
                              axis=-1).max()
         assert err <= 1e-7
@@ -70,25 +70,25 @@ class TestBishopTransport:
     def test_seed_validation(self):
         entry = get_entry("circle")
         grid = np.linspace(0.0, 1.0, 11)
-        tf = unit_tangent(entry.curve, grid)
+        record = grid_record(entry.curve, grid)
         with pytest.raises(ValueError, match="orthonormal"):
-            bishop_transport(tf, np.array([[1.0, 0.0, 0.0],
+            bishop_transport(record, np.array([[1.0, 0.0, 0.0],
                                            [1.0, 0.0, 0.0]]))
 
     def test_too_coarse_grid_rejected(self):
         entry = get_entry("circle")
         grid = np.linspace(0.0, 2.0 * math.pi, 3)
-        tf = unit_tangent(entry.curve, grid)
+        record = grid_record(entry.curve, grid)
         with pytest.raises(GridTooCoarseError):
-            bishop_transport(tf, entry.bishop_seed(grid[0]))
+            bishop_transport(record, entry.bishop_seed(grid[0]))
 
 
     def test_eval_at_one_call_matches_one_point_calls(self):
         entry = get_entry("helix")
         grid = np.linspace(0.0, 2.0 * math.pi, 41)
-        tf = unit_tangent(entry.curve, grid)
+        record = grid_record(entry.curve, grid)
         fields = bishop_transport(
-            tf, orthonormal_completion([tf.tau[0]], 3, 2))
+            record, orthonormal_completion([record.nodes.tau[0]], 3, 2))
         # off-grid points on both sides of a node, a node itself, and
         # points past both ends of the grid
         ts = np.array([0.3, grid[5], grid[5] + 1e-4, grid[5] - 1e-4, -0.01,
@@ -129,11 +129,11 @@ class TestDoubleReflectionOracle:
         distances = []
         for n in (101, 201, 401, 801):
             grid = curve.grid(n)
-            tf = unit_tangent(curve, grid)
-            seeds = orthonormal_completion([tf.tau[0]], curve.dim,
+            record = grid_record(curve, grid)
+            seeds = orthonormal_completion([record.nodes.tau[0]], curve.dim,
                                            curve.codim)
-            fields = bishop_transport(tf, seeds)
-            oracle = double_reflection(curve.points(grid), tf.tau, seeds)
+            fields = bishop_transport(record, seeds)
+            oracle = double_reflection(curve.points(grid), record.nodes.tau, seeds)
             distances.append(np.abs(fields.vectors - oracle).max())
         assert distances[0] <= 1e-7
         orders = np.log2(np.array(distances[:-1]) / distances[1:])
@@ -144,28 +144,28 @@ class TestAdaptedFrame:
     def test_example22_mu(self):
         entry = get_entry("example22")
         grid = np.linspace(-1, 1, 101)
-        frame = adapted_frame(entry.curve, grid, nu0=entry.frame_seed(grid[0]))
+        frame = adapted_frame(grid_record(entry.curve, grid), nu0=entry.frame_seed(grid[0]))
         assert np.abs(frame.mu - sample(entry.get("mu").value, grid)).max() <= 1e-8
         assert frame.gram_deviation() <= 1e-8
 
     def test_circle_frame(self):
         entry = get_entry("circle")
         grid = np.linspace(0.0, 2.0 * math.pi, 201)
-        frame = adapted_frame(entry.curve, grid, nu0=entry.frame_seed(grid[0]))
+        frame = adapted_frame(grid_record(entry.curve, grid), nu0=entry.frame_seed(grid[0]))
         assert np.abs(frame.mu - sample(entry.get("mu").value, grid)).max() <= 1e-9
         assert np.abs(frame.nus[0] - np.array([0.0, 0.0, 1.0])).max() <= 1e-9
 
     def test_inflection_raises(self):
         c = get_curve("example23")
         with pytest.raises(InflectionError, match="inflection"):
-            adapted_frame(c, np.linspace(-1, 1, 101))
+            adapted_frame(grid_record(c, np.linspace(-1, 1, 101)))
 
     def test_normal_derivative_stays_in_ruling_plane(self):
         # finite-differenced nu' lies in span{tau, mu}
         entry = get_entry("example22")
         grid = np.linspace(-1, 1, 401)
         h = grid[1] - grid[0]
-        frame = adapted_frame(entry.curve, grid, nu0=entry.frame_seed(grid[0]))
+        frame = adapted_frame(grid_record(entry.curve, grid), nu0=entry.frame_seed(grid[0]))
         nu_dot = (frame.nus[0][2:] - frame.nus[0][:-2]) / (2 * h)
         for i, nd in enumerate(nu_dot, start=1):
             inplane = (np.dot(nd, frame.tau[i]) * frame.tau[i]
@@ -179,7 +179,7 @@ class TestInvariants:
     def test_example22_closed_forms(self):
         entry = get_entry("example22")
         grid = np.linspace(-1, 1, 201)
-        frame = adapted_frame(entry.curve, grid, nu0=entry.frame_seed(grid[0]))
+        frame = adapted_frame(grid_record(entry.curve, grid), nu0=entry.frame_seed(grid[0]))
         prof = invariants(entry.curve, frame)
         kexp = sample(entry.get("kappa").value, grid)
         assert np.abs(prof.kappa - kexp).max() <= 1e-6
@@ -190,7 +190,7 @@ class TestInvariants:
     def test_helix_constants(self):
         entry = get_entry("helix")
         grid = np.linspace(0.0, 2.0 * math.pi, 301)
-        frame = adapted_frame(entry.curve, grid, nu0=entry.frame_seed(grid[0]))
+        frame = adapted_frame(grid_record(entry.curve, grid), nu0=entry.frame_seed(grid[0]))
         prof = invariants(entry.curve, frame)
         for values in (prof.a, prof.kappa, prof.ells[0]):
             assert np.std(values) <= 1e-8 * abs(np.mean(values))
@@ -226,8 +226,8 @@ class TestInvariants:
     def test_bishop_invariants_circle(self):
         entry = get_entry("circle")
         grid = np.linspace(0.0, 2.0 * math.pi, 501)
-        tf = unit_tangent(entry.curve, grid)
-        fields = bishop_transport(tf, entry.bishop_seed(grid[0]))
+        record = grid_record(entry.curve, grid)
+        fields = bishop_transport(record, entry.bishop_seed(grid[0]))
         inv = bishop_invariants(entry.curve, fields)
         assert np.abs(inv.a - 1.0).max() <= 1e-9
         assert np.abs(inv.kappas[0] + 1.0).max() <= 1e-9  # tau'.nu1 = -1
@@ -238,12 +238,12 @@ class TestStructureResiduals:
     def test_circle_both_systems(self):
         entry = get_entry("circle")
         grid = np.linspace(0.0, 2.0 * math.pi, 6284)
-        frame = adapted_frame(entry.curve, grid, nu0=entry.frame_seed(grid[0]))
+        frame = adapted_frame(grid_record(entry.curve, grid), nu0=entry.frame_seed(grid[0]))
         prof = invariants(entry.curve, frame)
         res = structure_residuals_adapted(entry.curve, frame, prof)
         assert max(res.values()) <= 1e-5
-        tf = unit_tangent(entry.curve, grid)
-        fields = bishop_transport(tf, entry.bishop_seed(grid[0]))
+        record = grid_record(entry.curve, grid)
+        fields = bishop_transport(record, entry.bishop_seed(grid[0]))
         inv = bishop_invariants(entry.curve, fields)
         res2 = structure_residuals_bishop(entry.curve, fields, inv)
         assert max(res2.values()) <= 1e-5
@@ -251,8 +251,8 @@ class TestStructureResiduals:
     def test_gram_drift_without_renormalization(self):
         entry = get_entry("circle")
         grid = np.linspace(0.0, 2.0 * math.pi, 6284)
-        tf = unit_tangent(entry.curve, grid)
-        raw = bishop_transport(tf, entry.bishop_seed(grid[0]),
+        record = grid_record(entry.curve, grid)
+        raw = bishop_transport(record, entry.bishop_seed(grid[0]),
                                renormalize=False)
         assert raw.final_gram_dev <= 1e-5
 

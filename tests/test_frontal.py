@@ -15,7 +15,7 @@ from frontals.frontal import (
 )
 from frontals.linalg import matrix_rank
 from frontals.surfaces import normal_map, tangent_map
-from frontals.frames import bishop_transport
+from frontals.frames import bishop_transport, grid_record
 
 
 def curve_2d(name, sources):
@@ -213,8 +213,8 @@ class TestPropernessScan:
     def test_line_normal_map_regular(self):
         entry = get_entry("line")
         t = np.linspace(-1, 1, 11)
-        tf = unit_tangent(entry.curve, t)
-        fields = bishop_transport(tf, entry.bishop_seed(t[0]))
+        fields = bishop_transport(grid_record(entry.curve, t),
+                                  entry.bishop_seed(t[0]))
         grid = normal_map(entry.curve, fields, t, np.linspace(-1, 1, 7))
         rep = properness_scan(grid)
         assert rep.singular_fraction == 0.0

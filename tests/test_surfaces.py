@@ -5,11 +5,16 @@ import pytest
 
 from frontals.corpus import get_curve, get_entry
 from frontals.curves import ExprCurve
-from frontals.errors import InflectionError, MathPreconditionError
+from frontals.errors import (
+    ConfigError,
+    InflectionError,
+    MathPreconditionError,
+)
 from frontals.frames import (
     AdaptedFrame,
     adapted_frame,
     bishop_transport,
+    grid_record,
     invariants,
 )
 from frontals.frontal import TangentEvaluator, unit_tangent
@@ -30,20 +35,20 @@ from frontals.surfaces import (
 
 def build_frame(entry, grid, **kw):
     seed = entry.frame_seed(grid[0]) if entry.frame_seed else None
-    return adapted_frame(entry.curve, grid, nu0=seed, **kw)
+    return adapted_frame(grid_record(entry.curve, grid), nu0=seed, **kw)
 
 
 def build_bishop(entry, grid):
     from frontals.linalg import orthonormal_completion
 
-    tf = unit_tangent(entry.curve, grid)
+    record = grid_record(entry.curve, grid)
     if entry.bishop_seed is not None:
         seeds = entry.bishop_seed(grid[0])
     else:
         seeds = orthonormal_completion(
-            [tf.tau[0]], entry.curve.dim, entry.curve.codim
+            [record.nodes.tau[0]], entry.curve.dim, entry.curve.codim
         )
-    return bishop_transport(tf, seeds)
+    return bishop_transport(record, seeds)
 
 
 class TestTangentMap:
@@ -141,9 +146,9 @@ class TestCanalSurface:
     def test_rejects_plane_curves(self):
         entry = get_entry("cusp")
         t = np.linspace(0.1, 1, 11)
-        tf = unit_tangent(entry.curve, t)
-        nu0 = np.array([[-tf.tau[0][1], tf.tau[0][0]]])
-        fields = bishop_transport(tf, nu0)
+        record = grid_record(entry.curve, t)
+        tau0 = record.nodes.tau[0]
+        fields = bishop_transport(record, np.array([[-tau0[1], tau0[0]]]))
         with pytest.raises(MathPreconditionError):
             canal_surface(entry.curve, fields, 0.1, t,
                           np.linspace(0, 2 * math.pi, 9))
@@ -206,7 +211,8 @@ class TestSingularLocus:
         # |s(t)/u| frozen from the torsion/curvature ratio 864 a^3/(|t| D^3)
         entry = get_entry("example23")
         grid = np.array([1e-3, 1e-2, 0.1, 0.5, 1.0])
-        frame = adapted_frame(entry.curve, grid, inflection_rel_tol=1e-9)
+        frame = adapted_frame(grid_record(entry.curve, grid),
+                              inflection_rel_tol=1e-9)
         prof = invariants(entry.curve, frame)
         locus = singular_locus_parallel(prof, [0.5])
         ratio = np.abs(locus.s) / 0.5
@@ -397,13 +403,14 @@ class TestSymplecticPullback:
         assert report.max_entry <= 1e-6
 
     def test_zero_step_is_not_a_pass(self):
-        # a zero step makes every difference 0/0; the NaN must reach the
-        # reported maximum instead of being dropped by the comparison
+        # a step that leaves the end points of a difference equal (0, or
+        # 1e-300 beside t and u of order 1) would make every difference
+        # 0/0 or exactly 0; it is refused instead of reported
         entry = get_entry("circle")
         fields = build_bishop(entry, np.linspace(0, 2 * math.pi, 21))
-        with np.errstate(invalid="ignore"):
-            report = symplectic_pullback_check(entry.curve, fields, 0.0)
-        assert np.isnan(report.max_entry)
+        for step in (0.0, 1e-300):
+            with pytest.raises(ConfigError, match="identical end points"):
+                symplectic_pullback_check(entry.curve, fields, step)
 
 
 class TestNormalFlatnessOfTangentSurface:
@@ -433,7 +440,7 @@ class TestNormalFlatnessOfTangentSurface:
             mu=np.tile([0.0, 1.0, 0.0], (101, 1)),
             kappa=np.zeros(101),
             nus=np.tile([0.0, 0.0, 1.0], (1, 101, 1)).reshape(1, 101, 3),
-            gram_drift_max=0.0, record=TangentEvaluator(c).at(t, tau),
+            gram_drift_max=0.0, record=grid_record(c, t),
         )
         report = normal_flatness_residual(c, frame, np.linspace(-1, 1, 5))
         assert report.vacuous
