@@ -22,7 +22,6 @@ from .config import load_config
 from .errors import ConfigError, MathPreconditionError
 from .exports import (
     csv_lines,
-    fmt,
     jsonl_line,
     surface_csv_lines,
     surface_obj_lines,
@@ -57,6 +56,9 @@ _STRUCTURE_SPACING = 1e-3
 
 #: |tau'| below which every node counts as lying on a straight segment
 _STRAIGHT_KAPPA = 1e-12
+
+#: most nodes one sampled grid may have
+_MAX_GRID_NODES = 500_000
 
 
 def _add_curve_args(p):
@@ -108,9 +110,18 @@ class _CurveContext:
         self.s_steps = s_steps
         self.s_range = s_range
 
+    def grid(self, steps, *rulings):
+        """The curve's grid of ``steps`` nodes; a ConfigError, before it
+        is built, when it and ``rulings`` per node pass _MAX_GRID_NODES."""
+        nodes = math.prod((steps, *rulings))
+        if nodes > _MAX_GRID_NODES:
+            raise ConfigError(f"a grid of {nodes} nodes exceeds the limit of "
+                              f"{_MAX_GRID_NODES}; lower --t-steps/--s-steps")
+        return self.curve.grid(steps)
+
     @property
     def t_grid(self):
-        return self.curve.grid(self.t_steps)
+        return self.grid(self.t_steps)
 
     @property
     def s_grid(self):
@@ -149,13 +160,6 @@ class _CurveContext:
         return offs
 
 
-def _emit(lines, out_path):
-    if out_path:
-        write_lines(lines, out_path)
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-
-
 def _frame_unless_straight(ctx, record):
     """The adapted frame on the record's grid, or None when |tau'| is
     below ``_STRAIGHT_KAPPA`` on every node: such a curve has no adapted
@@ -184,9 +188,8 @@ def cmd_invariants(args) -> int:
     else:
         prof = invariants(curve, frame)
         a, kappa, ells = prof.a, prof.kappa, prof.ells
-    rows = [[t_grid[i], a[i], kappa[i]] + [ells[j, i] for j in range(q)]
-            for i in range(n)]
-    _emit(csv_lines(header, rows), args.out)
+    values = np.column_stack([t_grid, a, kappa, *ells])
+    write_lines(csv_lines(header, values), args.out or sys.stdout)
     return 0
 
 
@@ -196,22 +199,19 @@ def cmd_invariants(args) -> int:
 
 def _build_surface(ctx, args) -> SurfaceGrid:
     curve = ctx.curve
-    t_grid = ctx.t_grid
-    if args.kind == "tan":
-        tf = unit_tangent(curve, t_grid)
-        return tangent_map(curve, tf, t_grid, ctx.s_grid, ruling=args.ruling)
     if args.kind == "nor":
-        fields = ctx.bishop_fields(grid_record(curve, t_grid))
         # the normal map is sampled over all 1+p parameters; keep the
         # default per-axis resolution tame for higher codimension
         p = curve.codim
         steps = ctx.s_steps if p == 1 else min(ctx.s_steps, 11)
+        t_grid = ctx.grid(ctx.t_steps, *[steps] * p)
+        fields = ctx.bishop_fields(grid_record(curve, t_grid))
         u_axis = np.linspace(ctx.s_range[0], ctx.s_range[1], steps)
-        if ctx.t_steps * steps ** p > 2_000_000:
-            raise ConfigError(
-                "normal-map grid too large; lower --t-steps/--s-steps"
-            )
         return normal_map(curve, fields, t_grid, u_axis)
+    t_grid = ctx.grid(ctx.t_steps, ctx.s_steps)
+    if args.kind == "tan":
+        tf = unit_tangent(curve, t_grid)
+        return tangent_map(curve, tf, t_grid, ctx.s_grid, ruling=args.ruling)
     if args.kind == "can":
         fields = ctx.bishop_fields(grid_record(curve, t_grid))
         theta = np.linspace(0.0, 2.0 * math.pi, ctx.s_steps)
@@ -243,11 +243,8 @@ def _build_surface(ctx, args) -> SurfaceGrid:
 def cmd_surface(args) -> int:
     ctx = _CurveContext(args)
     grid = _build_surface(ctx, args)
-    if args.export == "obj":
-        lines = surface_obj_lines(grid)
-    else:
-        lines = surface_csv_lines(grid)
-    _emit(lines, args.out)
+    export = surface_obj_lines if args.export == "obj" else surface_csv_lines
+    write_lines(export(grid), args.out or sys.stdout)
     return 0
 
 
@@ -266,12 +263,12 @@ class _Report(NamedTuple):
     vacuous: bool = False
 
 
-def _fine_grid(ctx):
-    """The parameter grid refined to ``_STRUCTURE_SPACING``: checks that
-    difference sampled frames by central differences need it."""
+def _fine_grid(ctx, *rulings):
+    """The parameter grid refined to ``_STRUCTURE_SPACING``, for checks
+    that difference sampled frames, with ``rulings`` samples per node."""
     span = ctx.curve.domain[1] - ctx.curve.domain[0]
     steps = max(ctx.t_steps, int(math.ceil(span / _STRUCTURE_SPACING)) + 1)
-    return ctx.curve.grid(steps)
+    return ctx.grid(steps, *rulings)
 
 
 def _verify_theorem22(ctx, args, tol):
@@ -281,7 +278,7 @@ def _verify_theorem22(ctx, args, tol):
             "parallel-equivalence check needs codimension >= 2"
         )
     offsets = ctx.offsets(args)
-    t_grid = ctx.t_grid
+    t_grid = ctx.grid(ctx.t_steps, ctx.s_steps)
     frame = ctx.frame(grid_record(curve, t_grid))
     prof = invariants(curve, frame)
     pal = parallel_of_tangent(curve, frame, offsets, t_grid, ctx.s_grid)
@@ -304,8 +301,8 @@ def _verify_theorem21(ctx, args, tol):
     # central differences, so it needs a fine parameter grid; a handful
     # of ruling offsets is plenty because the normal spaces are constant
     # along each ruling
-    t_grid = _fine_grid(ctx)
     s_grid = np.linspace(ctx.s_range[0], ctx.s_range[1], min(ctx.s_steps, 9))
+    t_grid = _fine_grid(ctx, len(s_grid))
     frame = _frame_unless_straight(ctx, grid_record(ctx.curve, t_grid))
     if frame is None:
         return _Report(
@@ -373,13 +370,13 @@ def cmd_verify(args) -> int:
     header = (f"check {args.check} on {ctx.curve.name}: "
               f"{'PASS' if passed else 'FAIL'}"
               + (" (vacuous)" if report.vacuous else ""))
-    sys.stdout.write("\n".join([header] + report.lines) + "\n")
+    write_lines([header] + report.lines, sys.stdout)
     record = jsonl_line({
         "check": args.check, "curve": ctx.curve.name,
         "residual": report.residual, "tolerance": tol, "pass": passed,
         **report.fields,
     })
-    _emit([record], args.out)
+    write_lines([record], args.out or sys.stdout)
     return 0 if passed else 2
 
 
@@ -393,20 +390,20 @@ def cmd_frontality(args) -> int:
     if args.t0 is not None:
         ts = [args.t0]
     else:
-        ts = list(curve.grid(ctx.t_steps))
+        ts = list(ctx.t_grid)
     lines = []
     all_sufficient = True
     for t0 in ts:
         rep = contact_orders(curve, t0, k_max=args.k_max, tol=args.tol)
         all_sufficient &= rep.frontal_sufficient
         lines.append(
-            f"t0={fmt(t0)} ranks={','.join(str(r) for r in rep.ranks)} "
+            f"t0={float(t0)!r} ranks={','.join(str(r) for r in rep.ranks)} "
             f"a1={rep.a1} a2={rep.a2} "
             f"sufficient={'yes' if rep.frontal_sufficient else 'no'}"
         )
-    tf = unit_tangent(curve, curve.grid(ctx.t_steps), k_max=args.k_max)
+    tf = unit_tangent(curve, ctx.t_grid, k_max=args.k_max)
     if tf.sign_flips:
-        flips = ", ".join(fmt(tf.grid[i]) for i in tf.sign_flips)
+        flips = ", ".join(map(repr, tf.grid[list(tf.sign_flips)].tolist()))
         lines.append(f"tangent-line representative sign flips near t = {flips}")
     else:
         lines.append("tangent-line representative has no sign flips")
@@ -414,7 +411,7 @@ def cmd_frontality(args) -> int:
         "summary: rank 2 attained at "
         f"{'all' if all_sufficient else 'NOT all'} sampled points"
     )
-    _emit(lines, args.out)
+    write_lines(lines, args.out or sys.stdout)
     return 0 if all_sufficient else 2
 
 
@@ -428,8 +425,8 @@ def cmd_bishop(args) -> int:
     fields = ctx.bishop_fields(grid_record(ctx.curve, t_grid))
     header = ["t"] + [f"nu{i + 1}_x{j + 1}" for i in range(fields.n_fields)
                       for j in range(ctx.curve.dim)]
-    rows = [[t, *fields.vectors[:, k].ravel()] for k, t in enumerate(t_grid)]
-    _emit(csv_lines(header, rows), args.out)
+    values = np.column_stack([t_grid, *fields.vectors])
+    write_lines(csv_lines(header, values), args.out or sys.stdout)
     return 0
 
 

@@ -6,16 +6,14 @@ identical inputs always produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 
 import numpy as np
 
 from .errors import ConfigError
 from .surfaces import SurfaceGrid
-
-
-def fmt(x) -> str:
-    return repr(float(x))
 
 
 def write_lines(lines, out) -> None:
@@ -27,27 +25,35 @@ def write_lines(lines, out) -> None:
             fh.write(text)
 
 
-def csv_lines(header, rows) -> list:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else fmt(cell) for cell in row
-        ))
-    return lines
+def _format_rows(pattern, array, *columns) -> list:
+    """``pattern.format`` of each row of a 2-d array followed by the row's
+    item of each of ``columns``; a ``{!r}`` field writes a float by repr."""
+    array = np.asarray(array)
+    cells = iter(array.ravel().tolist())
+    # one iterator in all of a row's slots hands out its cells in order
+    return list(map(pattern.format, *[cells] * array.shape[1], *columns))
+
+
+def csv_lines(header, values, ranks=None) -> list:
+    """The header, then one line per row of the 2-d float array
+    ``values``, ending in the integer column ``ranks`` when it is given."""
+    values = np.asarray(values, dtype=float)
+    columns = [] if ranks is None else [np.ravel(ranks).tolist()]
+    pattern = ",".join(["{!r}"] * (values.shape[1] + len(columns)))
+    return [",".join(header), *_format_rows(pattern, values, *columns)]
 
 
 def surface_csv_lines(grid: SurfaceGrid) -> list:
-    axis_names = [name for name, _ in grid.axes]
     dim = grid.ambient_dim
-    header = axis_names + [f"x{i + 1}" for i in range(dim)] + ["jac_rank"]
-    samples = [s for _, s in grid.axes]
-    rows = []
-    for idx in np.ndindex(*grid.jac_rank.shape):
-        row = [samples[k][idx[k]] for k in range(len(samples))]
-        row += list(grid.points[idx])
-        row.append(str(int(grid.jac_rank[idx])))
-        rows.append(row)
-    return csv_lines(header, rows)
+    header = ([name for name, _ in grid.axes]
+              + [f"x{i + 1}" for i in range(dim)] + ["jac_rank"])
+    lines = csv_lines(header, grid.points.reshape(-1, dim), grid.jac_rank)
+    # each axis's samples are formatted once; their product runs over the
+    # grid in the points' row-major order
+    samples = [map(repr, np.asarray(s, dtype=float).tolist())
+               for _, s in grid.axes]
+    prefixes = map(",".join, itertools.product(*samples))
+    return [lines[0], *map(",".join, zip(prefixes, lines[1:]))]
 
 
 def surface_obj_lines(grid: SurfaceGrid) -> list:
@@ -58,29 +64,29 @@ def surface_obj_lines(grid: SurfaceGrid) -> list:
     if grid.ambient_dim != 3:
         raise ConfigError("obj export needs a surface in R^3")
     n0, n1 = grid.jac_rank.shape
-    lines = [
+    idx = np.arange(1, n0 * n1 + 1).reshape(n0, n1)
+    a, b, c, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    return [
         f"# {grid.map_kind} surface, {n0} x {n1} grid",
         f"# axes {grid.axes[0][0]} {grid.axes[1][0]}",
+        *_format_rows("v {!r} {!r} {!r}",
+                      np.asarray(grid.points, dtype=float).reshape(-1, 3)),
+        *_format_rows("f {} {} {}", faces),
+        *_format_rows("# singular {} {}", np.argwhere(grid.singular_flag)),
     ]
-    for i in range(n0):
-        for j in range(n1):
-            x, y, z = grid.points[i, j]
-            lines.append(f"v {fmt(x)} {fmt(y)} {fmt(z)}")
-    for i in range(n0 - 1):
-        for j in range(n1 - 1):
-            a = i * n1 + j + 1
-            b = (i + 1) * n1 + j + 1
-            c = (i + 1) * n1 + j + 2
-            d = i * n1 + j + 2
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    flags = grid.singular_flag
-    for i in range(n0):
-        for j in range(n1):
-            if flags[i, j]:
-                lines.append(f"# singular {i} {j}")
-    return lines
+
+
+def _json_safe(value):
+    """``value`` with each non-finite float, also inside dicts and lists,
+    written as the string "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return value if finite else repr(float(value))
 
 
 def jsonl_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True)
+    return json.dumps(_json_safe(record), sort_keys=True, allow_nan=False)

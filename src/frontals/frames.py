@@ -346,10 +346,11 @@ def bishop_invariants(curve: Curve, fields: ParallelFields) -> BishopInvariants:
 # Structure-equation residuals (central differences of the sampled frames)
 
 
-def _central_diff(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def central_difference(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """d(values)/dt at the interior nodes of a uniform ``grid`` (axis 0)."""
     h = np.diff(grid)
     if not np.allclose(h, h[0], rtol=1e-10, atol=0.0):
-        raise ValueError("structure residuals need a uniform grid")
+        raise ValueError("central differences need a uniform grid")
     return (values[2:] - values[:-2]) / (2.0 * h[0])
 
 
@@ -370,7 +371,7 @@ def _frame_residuals(grid, fp, a, rows: dict, omega: np.ndarray) -> dict:
     frame = list(rows.values())
     out = {"f_prime": _scaled_max(fp - a[:, None] * frame[0], fp)}
     for name, e, coeffs in zip(rows, frame, omega):
-        e_d = _central_diff(e, grid)
+        e_d = central_difference(e, grid)
         pred = sum(c[:, None] * e_j for c, e_j in zip(coeffs, frame))[1:-1]
         out[f"{name}_prime"] = _scaled_max(e_d - pred, e_d)
     return out

@@ -28,11 +28,12 @@ from .frames import (
     AdaptedFrame,
     InvariantProfile,
     ParallelFields,
+    central_difference,
     invariants,
     surface_normal_transport,
 )
 from .frontal import TangentEvaluator, TangentField
-from .linalg import batched_rank, orthonormal_column_basis
+from .linalg import batched_rank
 
 RULINGS = ("unit", "derivative")
 
@@ -420,8 +421,8 @@ def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
     fields' range, at u = 0 and at one fixed nonzero u. Tangent and
     cotangent coordinates are identified by the Euclidean metric;
     partials are central differences of step ``fd_step`` in every
-    parameter direction; a step so small that some difference would
-    have identical end points raises :class:`ConfigError`.
+    parameter direction; a non-finite step, or one so small that some
+    difference has identical end points, raises :class:`ConfigError`.
     """
     if fields.mode != "curve_normal":
         raise ValueError("symplectic check needs curve-normal parallel fields")
@@ -431,6 +432,8 @@ def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
     u_points = [np.zeros(p), alt]
 
     coords = np.concatenate([sample_ts, *u_points])
+    if not np.isfinite(fd_step):
+        raise ConfigError(f"fd_step {fd_step:g} is not finite")
     if np.any(coords + fd_step == coords - fd_step):
         raise ConfigError(f"fd_step {fd_step:g} gives a central difference "
                           f"with identical end points")
@@ -492,38 +495,30 @@ def normal_flatness_residual(curve: Curve, frame: AdaptedFrame,
     value falls below ``_FLATNESS_EXCLUSION`` are skipped; if everything
     is skipped the check is vacuous (e.g. a straight segment).
     """
-    s_grid = np.asarray(s_grid, dtype=float)
-    t_grid = frame.grid
-    h = np.diff(t_grid)
-    if not np.allclose(h, h[0], rtol=1e-10, atol=0.0):
-        raise ValueError("normal-flatness check needs a uniform t-grid")
-    h = float(h[0])
-    nu = frame.nus
+    nu = frame.nus.swapaxes(0, 1)  # (nodes, normals, dim)
+    nu_dot = central_difference(nu, frame.grid)
     if frame.n_normals == 0:
         return NormalFlatnessReport(0.0, 0, 0, True)
-    nu_dot = (nu[:, 2:, :] - nu[:, :-2, :]) / (2.0 * h)
 
-    max_res = 0.0
-    checked = skipped = 0
-    for i in range(1, len(t_grid) - 1):
-        d = frame.record.nodes[i]
-        for s in s_grid:
-            jt = d.fprime + s * d.tau_p
-            jac = np.stack([jt, d.tau], axis=1)
-            sv = np.linalg.svd(jac, compute_uv=False)
-            if sv[-1] < _FLATNESS_EXCLUSION:
-                skipped += 1
-                continue
-            q = orthonormal_column_basis(jac)
-            for j in range(frame.n_normals):
-                nd = nu_dot[j, i - 1]
-                r = nd - q @ (q.T @ nd)
-                r = r - float(np.dot(r, nu[j, i])) * nu[j, i]
-                max_res = max(max_res, float(np.linalg.norm(r)))
-            checked += 1
+    # Jacobian columns (f' + s tau', tau) at every (interior node, s)
+    d = frame.record.nodes[1:-1]
+    s_grid = np.asarray(s_grid, dtype=float)[:, None]
+    jt = d.fprime[:, None, :] + s_grid * d.tau_p[:, None, :]
+    jac = np.stack([jt, np.broadcast_to(d.tau[:, None, :], jt.shape)], -1)
+    kept = np.linalg.svd(jac, compute_uv=False)[..., -1] >= _FLATNESS_EXCLUSION
+    q, r = np.linalg.qr(jac[kept])
+    # orthonormal_column_basis's rule: zero the columns with a tiny |R_kk|
+    tiny = 1e-12 * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
+    q *= (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > tiny[:, None])[:, None]
+
+    node = np.nonzero(kept)[0]
+    nd, nu_k = nu_dot[node], nu[1:-1][node]  # (pairs, normals, dim)
+    res = nd - np.einsum("kdc,kec,kje->kjd", q, q, nd)
+    res -= np.einsum("kjd,kjd->kj", res, nu_k)[..., None] * nu_k
+    checked = int(kept.sum())
     return NormalFlatnessReport(
-        max_residual=max_res, checked=checked, skipped=skipped,
-        vacuous=checked == 0,
+        max_residual=float(np.max(np.linalg.norm(res, axis=-1), initial=0.0)),
+        checked=checked, skipped=kept.size - checked, vacuous=checked == 0,
     )
 
 

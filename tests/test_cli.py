@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -7,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from frontals import cli
 from frontals.cli import main
-from frontals.curves import ExprCurve
+from frontals.curves import Curve, ExprCurve
+from frontals.frames import adapted_frame
 from frontals.frontal import TangentEvaluator
 
 
@@ -148,6 +151,21 @@ class TestVerifyCommand:
         assert record["pass"] is True
         assert record["residual"] <= 1e-6
 
+    def test_overflowing_residual_is_valid_json(self, tmp_path):
+        # the residuals overflow to inf; the record says so in strings
+        def no_constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        log = tmp_path / "log.jsonl"
+        rc, out, _ = run_cli([
+            "verify", "--curve", "helix", "--check", "theorem22",
+            "--u", "1e300", "--out", str(log),
+        ])
+        assert rc == 2 and "FAIL" in out
+        record = json.loads(log.read_text(), parse_constant=no_constant)
+        assert record["residual"] == "inf" and record["pass"] is False
+        assert record["offsets"] == [1e300]
+
     def test_theorem22_inflection_precondition(self):
         rc, _, err = run_cli([
             "verify", "--curve", "example23", "--check", "theorem22",
@@ -162,6 +180,27 @@ class TestVerifyCommand:
         ])
         assert rc == 0
         assert "PASS" in out
+
+    def test_theorem21_fails_on_rotated_normals(self, monkeypatch):
+        # turning r4curve's two parallel normals by theta(t) inside their
+        # plane gives each d(nu)/dt a normal part |theta'|, which the
+        # check must find
+        def rotated_frame(record, nu0=None):
+            frame = adapted_frame(record, nu0=nu0)
+            theta = 0.1 * np.sin(3.0 * frame.grid)[:, None]
+            nu1, nu2 = frame.nus
+            nus = np.stack([np.cos(theta) * nu1 + np.sin(theta) * nu2,
+                            np.cos(theta) * nu2 - np.sin(theta) * nu1])
+            return dataclasses.replace(frame, nus=nus)
+
+        monkeypatch.setattr(cli, "adapted_frame", rotated_frame)
+        rc, out, _ = run_cli(["verify", "--curve", "r4curve",
+                              "--check", "theorem21"])
+        lines = out.splitlines()
+        assert rc == 2 and lines[0] == "check theorem21 on r4curve: FAIL"
+        # max |theta'| = 0.3, at the node t = 0
+        assert json.loads(lines[-1])["residual"] == pytest.approx(0.3,
+                                                                  rel=1e-5)
 
     def test_theorem21_line_vacuous(self):
         rc, out, _ = run_cli([
@@ -302,6 +341,27 @@ class TestExitCodes:
         rc, out, err = run_cli(argv + ["--curve", "helix"])
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--t-steps", "100000000"],
+        ["verify", "--check", "structure", "--t-steps", "100000000"],
+        ["verify", "--check", "theorem21", "--t-steps", "60000"],
+        ["verify", "--check", "theorem22", "--t-steps", "1001",
+         "--s-steps", "500"],
+        ["surface", "--kind", "tan", "--t-steps", "1001", "--s-steps", "500"],
+        ["surface", "--kind", "nor", "--t-steps", "5000"],
+    ], ids=["invariants", "structure", "theorem21", "theorem22", "tan", "nor"])
+    def test_grid_over_the_limit(self, monkeypatch, argv):
+        # refused before any grid is built: a parameter grid would be the
+        # first allocation of every command
+        def no_grid(curve, steps):
+            raise AssertionError(f"a grid of {steps} nodes was built")
+
+        monkeypatch.setattr(Curve, "grid", no_grid)
+        rc, out, err = run_cli(argv + ["--curve", "helix"])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: a grid of ")
+        assert "exceeds the limit of 500000" in err
 
     def test_config_curve_pipeline(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -405,15 +405,55 @@ class TestSymplecticPullback:
     def test_zero_step_is_not_a_pass(self):
         # a step that leaves the end points of a difference equal (0, or
         # 1e-300 beside t and u of order 1) would make every difference
-        # 0/0 or exactly 0; it is refused instead of reported
+        # 0/0 or exactly 0, and a non-finite one no difference at all;
+        # each is refused instead of reported
         entry = get_entry("circle")
         fields = build_bishop(entry, np.linspace(0, 2 * math.pi, 21))
-        for step in (0.0, 1e-300):
-            with pytest.raises(ConfigError, match="identical end points"):
+        for step, message in ((0.0, "identical end points"),
+                              (1e-300, "identical end points"),
+                              (math.nan, "not finite"),
+                              (math.inf, "not finite"),
+                              (-math.inf, "not finite")):
+            with pytest.raises(ConfigError, match=message):
                 symplectic_pullback_check(entry.curve, fields, step)
 
 
+def flatness_oracle(frame, s_grid, exclusion=1e-7):
+    """The normal-flatness residual by a loop over (node, s) with plain
+    numpy.linalg; ``exclusion`` is the library's skip threshold on the
+    smallest singular value of the Jacobian."""
+    t, nu, d = frame.grid, frame.nus, frame.record.nodes
+    h = t[1] - t[0]
+    worst, checked, skipped = 0.0, 0, 0
+    for i in range(1, len(t) - 1):
+        for s in s_grid:
+            jac = np.column_stack([d.fprime[i] + s * d.tau_p[i], d.tau[i]])
+            if np.linalg.svd(jac, compute_uv=False)[-1] < exclusion:
+                skipped += 1
+                continue
+            checked += 1
+            q, r = np.linalg.qr(jac)
+            q = q[:, np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())]
+            for j in range(len(nu)):
+                res = (nu[j, i + 1] - nu[j, i - 1]) / (2.0 * h)
+                res = res - q @ (q.T @ res)
+                res = res - (res @ nu[j, i]) * nu[j, i]
+                worst = max(worst, np.linalg.norm(res))
+    return worst, checked, skipped
+
+
 class TestNormalFlatnessOfTangentSurface:
+    @pytest.mark.parametrize("name", ["example22", "r4curve"])
+    def test_matches_per_node_oracle(self, name):
+        entry = get_entry(name)
+        frame = build_frame(entry, np.linspace(-1.0, 1.0, 801))
+        s = np.linspace(-1.0, 1.0, 9)
+        report = normal_flatness_residual(entry.curve, frame, s)
+        worst, checked, skipped = flatness_oracle(frame, s)
+        assert (report.checked, report.skipped) == (checked, skipped)
+        assert skipped > 0 and not report.vacuous
+        assert abs(report.max_residual - worst) <= 1e-14
+
     def test_r4_curve(self):
         entry = get_entry("r4curve")
         t = np.arange(-1.0, 1.0 + 1e-12, 1e-3)
