@@ -74,6 +74,7 @@ from .surfaces import (
     SymplecticReport,
     canal_surface,
     directrix,
+    directrix_tangent_map,
     normal_curvature_r4,
     normal_flatness_residual,
     normal_map,

@@ -3,9 +3,9 @@
 Subcommands: ``invariants``, ``surface``, ``verify``, ``frontality``,
 ``bishop``. A curve comes either from the built-in corpus (``--curve``)
 or from a config file (``--config``). Exit codes: 0 success/pass,
-1 configuration error, 2 violated math precondition or failed check,
-3 I/O error. All output is deterministic: identical inputs produce
-byte-identical bytes.
+1 configuration or usage error, 2 violated math precondition or failed
+check, 3 I/O error. All output is deterministic: identical inputs
+produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .surfaces import (
     SurfaceGrid,
     canal_surface,
     directrix,
+    directrix_tangent_map,
     normal_flatness_residual,
     normal_map,
     parallel_of_tangent,
@@ -186,7 +187,7 @@ def cmd_invariants(args) -> int:
         a = np.einsum("nk,nk->n", record.nodes.fprime, record.nodes.tau)
         kappa, ells = np.zeros(n), np.zeros((q, n))
     else:
-        prof = invariants(curve, frame)
+        prof = invariants(frame)
         a, kappa, ells = prof.a, prof.kappa, prof.ells
     values = np.column_stack([t_grid, a, kappa, *ells])
     write_lines(csv_lines(header, values), args.out or sys.stdout)
@@ -207,37 +208,19 @@ def _build_surface(ctx, args) -> SurfaceGrid:
         t_grid = ctx.grid(ctx.t_steps, *[steps] * p)
         fields = ctx.bishop_fields(grid_record(curve, t_grid))
         u_axis = np.linspace(ctx.s_range[0], ctx.s_range[1], steps)
-        return normal_map(curve, fields, t_grid, u_axis)
-    t_grid = ctx.grid(ctx.t_steps, ctx.s_steps)
+        return normal_map(fields, u_axis)
+    record = grid_record(curve, ctx.grid(ctx.t_steps, ctx.s_steps))
     if args.kind == "tan":
-        tf = unit_tangent(curve, t_grid)
-        return tangent_map(curve, tf, t_grid, ctx.s_grid, ruling=args.ruling)
+        return tangent_map(record, ctx.s_grid, ruling=args.ruling)
     if args.kind == "can":
-        fields = ctx.bishop_fields(grid_record(curve, t_grid))
         theta = np.linspace(0.0, 2.0 * math.pi, ctx.s_steps)
-        return canal_surface(curve, fields, args.r, t_grid, theta)
+        return canal_surface(ctx.bishop_fields(record), args.r, theta)
     offsets = ctx.offsets(args)
-    frame = ctx.frame(grid_record(curve, t_grid))
+    frame = ctx.frame(record)
     if args.kind == "pal":
-        return parallel_of_tangent(
-            curve, frame, offsets, t_grid, ctx.s_grid, ruling=args.ruling
-        )
-    # directrix-tan: tangent map of the edge of regression, ruled by the
-    # shared tangent frame
-    prof = invariants(curve, frame)
-    dirx = directrix(curve, frame, prof, offsets)
-    points = (
-        dirx.points[:, None, :]
-        + ctx.s_grid[None, :, None] * frame.tau[:, None, :]
-    )
-    ranks = np.full(points.shape[:-1], 2, dtype=int)
-    sing = np.abs(ctx.s_grid[None, :] * frame.kappa[:, None]) < 1e-12
-    ranks[sing] = 1
-    return SurfaceGrid(
-        map_kind="TanOfDirectrix",
-        axes=(("t", t_grid), ("s", ctx.s_grid)),
-        points=points, jac_rank=ranks, ruling="unit",
-    )
+        return parallel_of_tangent(frame, offsets, ctx.s_grid,
+                                   ruling=args.ruling)
+    return directrix_tangent_map(frame, offsets, ctx.s_grid)
 
 
 def cmd_surface(args) -> int:
@@ -278,11 +261,10 @@ def _verify_theorem22(ctx, args, tol):
             "parallel-equivalence check needs codimension >= 2"
         )
     offsets = ctx.offsets(args)
-    t_grid = ctx.grid(ctx.t_steps, ctx.s_steps)
-    frame = ctx.frame(grid_record(curve, t_grid))
-    prof = invariants(curve, frame)
-    pal = parallel_of_tangent(curve, frame, offsets, t_grid, ctx.s_grid)
-    dirx = directrix(curve, frame, prof, offsets)
+    frame = ctx.frame(grid_record(curve, ctx.grid(ctx.t_steps, ctx.s_steps)))
+    prof = invariants(frame)
+    pal = parallel_of_tangent(frame, offsets, ctx.s_grid)
+    dirx = directrix(frame, prof, offsets)
     report = verify_right_equivalence(pal, dirx, frame, prof)
     return _Report(report.residual, [
         f"  max |parallel - reparametrized tangent map of directrix| = "
@@ -309,7 +291,7 @@ def _verify_theorem21(ctx, args, tol):
             0.0, ["  every sampled node of the tangent map is singular"],
             {"vacuous": True}, vacuous=True,
         )
-    report = normal_flatness_residual(ctx.curve, frame, s_grid)
+    report = normal_flatness_residual(frame, s_grid)
     return _Report(report.max_residual, [
         f"  max normal-parallelism residual on the tangent surface = "
         f"{report.max_residual:.6e} (tolerance {tol:.1e})",
@@ -323,7 +305,7 @@ def _verify_theorem21(ctx, args, tol):
 
 def _verify_symplectic(ctx, args, tol):
     fields = ctx.bishop_fields(grid_record(ctx.curve, ctx.t_grid))
-    report = symplectic_pullback_check(ctx.curve, fields, fd_step=args.fd_step)
+    report = symplectic_pullback_check(fields, fd_step=args.fd_step)
     return _Report(report.max_entry, [
         f"  max pullback entry of the canonical two-form = "
         f"{report.max_entry:.6e} (tolerance {tol:.1e})",
@@ -331,19 +313,18 @@ def _verify_symplectic(ctx, args, tol):
 
 
 def _verify_structure(ctx, args, tol):
-    curve = ctx.curve
-    record = grid_record(curve, _fine_grid(ctx))
+    record = grid_record(ctx.curve, _fine_grid(ctx))
     residuals = {}
 
     fields = ctx.bishop_fields(record)
-    binv = bishop_invariants(curve, fields)
-    for key, val in structure_residuals_bishop(curve, fields, binv).items():
+    binv = bishop_invariants(fields)
+    for key, val in structure_residuals_bishop(fields, binv).items():
         residuals[f"curve_normal.{key}"] = val
 
     frame = _frame_unless_straight(ctx, record)
     if frame is not None:
-        prof = invariants(curve, frame)
-        for key, val in structure_residuals_adapted(curve, frame, prof).items():
+        prof = invariants(frame)
+        for key, val in structure_residuals_adapted(frame, prof).items():
             residuals[f"surface_normal.{key}"] = val
     worst = max(residuals.values())
     lines = [f"  {key}: {residuals[key]:.6e}" for key in sorted(residuals)]
@@ -434,8 +415,17 @@ def cmd_bishop(args) -> int:
 # argument wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the code of every
+    other configuration error, instead of argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frontals",
         description="Frame fields, invariants and ruled surfaces of "
         "frontal curves, with numeric verification checks.",

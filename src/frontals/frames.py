@@ -113,13 +113,14 @@ class ParallelFields:
     """Sampled parallel normal fields produced by a frame transport, with
     the record of the grid they were transported on."""
 
-    curve: Curve
-    grid: np.ndarray
     vectors: np.ndarray  # (n_fields, n_samples, dim)
     record: GridRecord
     mode: str  # "curve_normal" | "surface_normal"
     gram_drift_max: float
     final_gram_dev: float
+
+    curve = property(lambda self: self.record.curve)
+    grid = property(lambda self: self.record.grid)
 
     @property
     def n_fields(self) -> int:
@@ -202,8 +203,7 @@ def _transport(record: GridRecord, seeds, mode, renormalize,
             y = np.array(fixed)
         vectors[:, b, :] = y
     return ParallelFields(
-        curve=record.curve, grid=grid, vectors=vectors, record=record,
-        mode=mode, gram_drift_max=drift_max,
+        vectors=vectors, record=record, mode=mode, gram_drift_max=drift_max,
         final_gram_dev=_gram_deviation(np.concatenate([basis[order[-1]], y])),
     )
 
@@ -235,14 +235,15 @@ class AdaptedFrame:
     """Orthonormal frame {tau, mu, nu_1..nu_{p-1}} sampled along a curve,
     with the record of the grid it was built from."""
 
-    curve: Curve
-    grid: np.ndarray
-    tau: np.ndarray  # (N, dim)
     mu: np.ndarray  # (N, dim)
-    kappa: np.ndarray  # (N,)
     nus: np.ndarray  # (p-1, N, dim)
     gram_drift_max: float
     record: GridRecord
+
+    curve = property(lambda self: self.record.curve)
+    grid = property(lambda self: self.record.grid)
+    tau = property(lambda self: self.record.nodes.tau)  # (N, dim)
+    kappa = property(lambda self: self.record.nodes.kappa)  # (N,)
 
     @property
     def n_normals(self) -> int:
@@ -290,10 +291,7 @@ def adapted_frame(record: GridRecord, nu0=None,
                                           renormalize=renormalize)
         nus = fields.vectors
         drift = fields.gram_drift_max
-    return AdaptedFrame(
-        curve=curve, grid=grid, tau=nodes.tau, mu=mu, kappa=kappa, nus=nus,
-        gram_drift_max=drift, record=record,
-    )
+    return AdaptedFrame(mu=mu, nus=nus, gram_drift_max=drift, record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,7 @@ class InvariantProfile:
     ells: np.ndarray  # (p-1, N)
 
 
-def invariants(curve: Curve, frame: AdaptedFrame) -> InvariantProfile:
+def invariants(frame: AdaptedFrame) -> InvariantProfile:
     a, ells = _projection("surface_normal", frame.record.nodes, frame.nus)
     return InvariantProfile(grid=frame.grid, a=a, kappa=frame.kappa.copy(),
                             ells=ells)
@@ -335,7 +333,7 @@ class BishopInvariants:
     kappas: np.ndarray  # (p, N)
 
 
-def bishop_invariants(curve: Curve, fields: ParallelFields) -> BishopInvariants:
+def bishop_invariants(fields: ParallelFields) -> BishopInvariants:
     if fields.mode != "curve_normal":
         raise ValueError("bishop invariants need curve-normal parallel fields")
     a, kappas = _projection(fields.mode, fields.record.nodes, fields.vectors)
@@ -346,12 +344,21 @@ def bishop_invariants(curve: Curve, fields: ParallelFields) -> BishopInvariants:
 # Structure-equation residuals (central differences of the sampled frames)
 
 
+def uniform_step(grid: np.ndarray) -> float | None:
+    """The spacing of a uniform ``grid``, else None. Spacings may differ
+    by a relative 1e-10 plus the few ulps of max|t| that ``linspace``
+    rounding leaves in them."""
+    h = np.diff(grid)
+    atol = 4.0 * np.spacing(np.abs(grid).max())
+    return float(h[0]) if np.allclose(h, h[0], rtol=1e-10, atol=atol) else None
+
+
 def central_difference(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """d(values)/dt at the interior nodes of a uniform ``grid`` (axis 0)."""
-    h = np.diff(grid)
-    if not np.allclose(h, h[0], rtol=1e-10, atol=0.0):
+    h = uniform_step(grid)
+    if h is None:
         raise ValueError("central differences need a uniform grid")
-    return (values[2:] - values[:-2]) / (2.0 * h[0])
+    return (values[2:] - values[:-2]) / (2.0 * h)
 
 
 def _scaled_max(residual_rows: np.ndarray, derivative_rows: np.ndarray) -> float:
@@ -377,7 +384,7 @@ def _frame_residuals(grid, fp, a, rows: dict, omega: np.ndarray) -> dict:
     return out
 
 
-def structure_residuals_adapted(curve: Curve, frame: AdaptedFrame,
+def structure_residuals_adapted(frame: AdaptedFrame,
                                 profile: InvariantProfile) -> dict:
     """Max scaled residuals of the tangent-surface frame system
     tau' = kappa mu, mu' = -kappa tau + sum ell_i nu_i, nu_i' = -ell_i mu,
@@ -392,7 +399,7 @@ def structure_residuals_adapted(curve: Curve, frame: AdaptedFrame,
                             rows, omega)
 
 
-def structure_residuals_bishop(curve: Curve, fields: ParallelFields,
+def structure_residuals_bishop(fields: ParallelFields,
                                inv: BishopInvariants) -> dict:
     """Max scaled residuals of the curve-normal frame system
     tau' = sum kappa_i nu_i, nu_i' = -kappa_i tau, f' = a tau."""
@@ -449,15 +456,11 @@ def inflection_points(curve: Curve, grid, tol: float = 1e-7) -> list:
     below = kappas < tol
     intervals = []
 
-    def left_edge(i):
-        if i == 0 or not (kappas[i - 1] >= tol):
-            return grid[max(i - 1, 0)] if i > 0 else grid[0]
-        return _bisect(lambda t: kappa(t) - tol, grid[i - 1], grid[i])
-
-    def right_edge(i):
-        if i == len(grid) - 1 or not (kappas[i + 1] >= tol):
-            return grid[min(i + 1, len(grid) - 1)] if i < len(grid) - 1 else grid[-1]
-        return _bisect(lambda t: kappa(t) - tol, grid[i + 1], grid[i])
+    def edge(i, k):
+        """The crossing of tol between node i, below it, and node k."""
+        if not kappas[k] >= tol:
+            return grid[k]
+        return _bisect(lambda t: kappa(t) - tol, grid[k], grid[i])
 
     i = 0
     while i < len(grid):
@@ -465,8 +468,8 @@ def inflection_points(curve: Curve, grid, tol: float = 1e-7) -> list:
             j = i
             while j + 1 < len(grid) and below[j + 1]:
                 j += 1
-            lo = grid[0] if i == 0 else left_edge(i)
-            hi = grid[-1] if j == len(grid) - 1 else right_edge(j)
+            lo = grid[0] if i == 0 else edge(i, i - 1)
+            hi = grid[-1] if j == len(grid) - 1 else edge(j, j + 1)
             intervals.append((float(lo), float(hi)))
             i = j + 1
         else:

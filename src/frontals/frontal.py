@@ -42,7 +42,6 @@ from .jets import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
-    batched_rank,
     largest_true_box_2d,
     matrix_rank,
     rank_from_singular_values,
@@ -370,10 +369,6 @@ class TangentField:
     grid: np.ndarray
     tau: np.ndarray
     sign_flips: tuple
-
-    def __post_init__(self):
-        if self.tau.shape != (len(self.grid), self.curve.dim):
-            raise ValueError("tangent field shape mismatch")
 
 
 def unit_tangent(curve: Curve, grid, k_max: int = DEFAULT_K_MAX) -> TangentField:

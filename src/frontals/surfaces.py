@@ -1,10 +1,11 @@
 """Ruled maps over a curve and their verification checks.
 
-Builds sampled tangent developables, normal maps, canal (tube) surfaces
-and parallels of the tangent developable, annotates each grid node with
-its numeric Jacobian rank, and derives the singular locus of a parallel
-and its edge of regression (directrix) together with the
-right-equivalence between the two.
+Builds sampled tangent developables, normal maps, canal (tube) surfaces,
+parallels of the tangent developable and tangent maps of their
+directrices, all through one sampler of ruled maps over a grid record
+that annotates each grid node with its numeric Jacobian rank, and
+derives the singular locus of a parallel and its edge of regression
+(directrix) together with the right-equivalence between the two.
 
 Ruling convention: the tangent-type maps accept ``ruling="unit"`` (the
 chained unit tangent; default) or ``ruling="derivative"`` (the raw
@@ -22,17 +23,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import Curve
 from .errors import ConfigError, InflectionError, MathPreconditionError
 from .frames import (
     AdaptedFrame,
+    GridRecord,
     InvariantProfile,
     ParallelFields,
     central_difference,
     invariants,
     surface_normal_transport,
+    uniform_step,
 )
-from .frontal import TangentEvaluator, TangentField
 from .linalg import batched_rank
 
 RULINGS = ("unit", "derivative")
@@ -80,44 +81,60 @@ class SurfaceGrid:
 
 
 def _check_grid_match(grid_a, grid_b, what: str):
-    if len(grid_a) != len(grid_b) or not np.array_equal(
-        np.asarray(grid_a, dtype=float), np.asarray(grid_b, dtype=float)
-    ):
+    if not np.array_equal(grid_a, grid_b):
         raise ValueError(f"{what} must share the frame's parameter grid")
 
 
-def _ruling_fields(curve, data, ruling):
-    """Points, velocities, ruling vectors and their t-derivatives at the
-    nodes of the grid record ``data``."""
-    if ruling not in RULINGS:
-        raise ValueError(f"ruling must be one of {RULINGS}")
-    pts = curve.points(data.t)
-    if ruling == "unit":
-        return pts, data.fprime, data.tau, data.tau_p
-    return pts, data.fprime, data.fprime, data.fsecond
+def _ruled_map(map_kind, record, axes, terms, ruling_cols, ruling="n/a",
+               base=None) -> SurfaceGrid:
+    """Sample (t, *rulings) -> base(t) + sum_i c_i(rulings) v_i(t) over
+    the grid record's nodes, with per-node Jacobian ranks.
 
+    ``axes`` holds the (name, samples) pairs of the ruling axes. Each
+    term (c_i, v_i, v_i') has coefficients c_i over the ruling grid and
+    vectors (N, dim); ``ruling_cols`` are the Jacobian's ruling columns,
+    each broadcastable to the grid shape + (dim,). ``base`` holds the
+    base points and their t-derivative, (N, dim) each; by default the
+    curve's points and velocities.
+    """
+    f, fp = base or (record.curve.points(record.grid), record.nodes.fprime)
+    n, d = f.shape
+    shape = (n, *(len(samples) for _, samples in axes))
 
-def tangent_map(curve: Curve, frame: TangentField, t_grid, s_grid,
-                ruling: str = "unit") -> SurfaceGrid:
-    """Sample (t, s) -> f(t) + s r(t) with per-node Jacobian ranks."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    s_grid = np.asarray(s_grid, dtype=float)
-    _check_grid_match(t_grid, frame.grid, "tangent map t-grid")
-    pts, fp, r, rp = _ruling_fields(
-        curve, TangentEvaluator(curve).at(t_grid, frame.tau), ruling)
-    points = pts[:, None, :] + s_grid[None, :, None] * r[:, None, :]
-    jt = fp[:, None, :] + s_grid[None, :, None] * rp[:, None, :]
-    js = np.broadcast_to(r[:, None, :], jt.shape)
-    jac = np.stack([jt, js], axis=-1)
-    ranks = batched_rank(jac)
+    def along_t(v):  # rows of v spread over the ruling axes
+        return v.reshape((n,) + (1,) * (len(shape) - 1) + (d,))
+
+    points = np.broadcast_to(along_t(f), shape + (d,)).copy()
+    jt = np.broadcast_to(along_t(fp), shape + (d,)).copy()
+    for c, v, vp in terms:
+        c = np.asarray(c)[None, ..., None]
+        points += c * along_t(v)
+        jt += c * along_t(vp)
+    cols = [np.broadcast_to(col, shape + (d,)) for col in ruling_cols]
     return SurfaceGrid(
-        map_kind="Tan", axes=(("t", t_grid), ("s", s_grid)),
-        points=points, jac_rank=ranks, ruling=ruling,
+        map_kind=map_kind, axes=(("t", record.grid), *axes), points=points,
+        jac_rank=batched_rank(np.stack([jt, *cols], axis=-1)), ruling=ruling,
     )
 
 
-def normal_map(curve: Curve, fields: ParallelFields, t_grid,
-               u_grid) -> SurfaceGrid:
+def _ruling(nodes, ruling):
+    """The ruling vector and its t-derivative at the record's nodes."""
+    if ruling not in RULINGS:
+        raise ValueError(f"ruling must be one of {RULINGS}")
+    return ((nodes.tau, nodes.tau_p) if ruling == "unit"
+            else (nodes.fprime, nodes.fsecond))
+
+
+def tangent_map(record: GridRecord, s_grid,
+                ruling: str = "unit") -> SurfaceGrid:
+    """Sample (t, s) -> f(t) + s r(t) with per-node Jacobian ranks."""
+    s_grid = np.asarray(s_grid, dtype=float)
+    r, rp = _ruling(record.nodes, ruling)
+    return _ruled_map("Tan", record, (("s", s_grid),), [(s_grid, r, rp)],
+                      [r[:, None, :]], ruling)
+
+
+def normal_map(fields: ParallelFields, u_grid) -> SurfaceGrid:
     """Sample the full normal map (t, u_1..u_p) -> f(t) + sum u_i nu_i(t).
 
     ``u_grid`` is either one sample array reused for every normal
@@ -125,46 +142,21 @@ def normal_map(curve: Curve, fields: ParallelFields, t_grid,
     """
     if fields.mode != "curve_normal":
         raise ValueError("normal map needs curve-normal parallel fields")
-    t_grid = np.asarray(t_grid, dtype=float)
-    _check_grid_match(t_grid, fields.grid, "normal map t-grid")
     p = fields.n_fields
     u_grid = list(u_grid) if isinstance(u_grid, (list, tuple)) else [u_grid] * p
     if len(u_grid) != p:
         raise ValueError(f"expected {p} offset sample arrays")
-    u_axes = [np.asarray(u, dtype=float) for u in u_grid]
-
-    n, d = len(t_grid), curve.dim
-    pts = curve.points(t_grid)
-    fp = fields.record.nodes.fprime
+    axes = tuple((f"u{i + 1}", np.asarray(u, dtype=float))
+                 for i, u in enumerate(u_grid))
+    mesh = np.meshgrid(*(u for _, u in axes), indexing="ij")
     nu = fields.vectors  # (p, n, d)
-    nup = fields.field_derivatives()
-
-    shape = (n,) + tuple(len(u) for u in u_axes)
-    mesh = np.meshgrid(*u_axes, indexing="ij")  # p arrays of shape shape[1:]
-    points = np.broadcast_to(
-        pts.reshape((n,) + (1,) * p + (d,)), shape + (d,)
-    ).copy()
-    jt = np.broadcast_to(
-        fp.reshape((n,) + (1,) * p + (d,)), shape + (d,)
-    ).copy()
-    for i in range(p):
-        ui = mesh[i][None, ..., None]
-        points += ui * nu[i].reshape((n,) + (1,) * p + (d,))
-        jt += ui * nup[i].reshape((n,) + (1,) * p + (d,))
-    cols = [jt] + [
-        np.broadcast_to(nu[i].reshape((n,) + (1,) * p + (d,)), shape + (d,))
-        for i in range(p)
-    ]
-    jac = np.stack(cols, axis=-1)
-    ranks = batched_rank(jac)
-    axes = (("t", t_grid),) + tuple(
-        (f"u{i + 1}", u_axes[i]) for i in range(p)
-    )
-    return SurfaceGrid(map_kind="Nor", axes=axes, points=points,
-                       jac_rank=ranks)
+    terms = zip(mesh, nu, fields.field_derivatives())
+    return _ruled_map("Nor", fields.record, axes, terms,
+                      [v.reshape(v.shape[:1] + (1,) * p + v.shape[1:])
+                       for v in nu])
 
 
-def canal_surface(curve: Curve, fields: ParallelFields, r: float, t_grid,
+def canal_surface(fields: ParallelFields, r: float,
                   angle_grid) -> SurfaceGrid:
     """Tube of radius r: the normal map restricted to |nu| = r (p = 2)."""
     if r <= 0:
@@ -174,24 +166,14 @@ def canal_surface(curve: Curve, fields: ParallelFields, r: float, t_grid,
             "canal sampling is implemented for tubes: two curve-normal "
             "parallel fields (curve in R^3)"
         )
-    t_grid = np.asarray(t_grid, dtype=float)
     angle_grid = np.asarray(angle_grid, dtype=float)
-    _check_grid_match(t_grid, fields.grid, "canal t-grid")
-    pts = curve.points(t_grid)
-    fp = fields.record.nodes.fprime
     nu1, nu2 = fields.vectors
     nu1p, nu2p = fields.field_derivatives()
-    c = np.cos(angle_grid)[None, :, None]
-    s = np.sin(angle_grid)[None, :, None]
-    points = pts[:, None, :] + r * (c * nu1[:, None, :] + s * nu2[:, None, :])
-    jt = fp[:, None, :] + r * (c * nu1p[:, None, :] + s * nu2p[:, None, :])
-    jang = r * (-s * nu1[:, None, :] + c * nu2[:, None, :])
-    jac = np.stack([jt, jang], axis=-1)
-    ranks = batched_rank(jac)
-    return SurfaceGrid(
-        map_kind="Can", axes=(("t", t_grid), ("theta", angle_grid)),
-        points=points, jac_rank=ranks,
-    )
+    c, s = r * np.cos(angle_grid), r * np.sin(angle_grid)
+    jang = (-s[None, :, None] * nu1[:, None, :]
+            + c[None, :, None] * nu2[:, None, :])
+    return _ruled_map("Can", fields.record, (("theta", angle_grid),),
+                      [(c, nu1, nu1p), (s, nu2, nu2p)], [jang])
 
 
 def _check_offsets(frame_or_profile_normals: int, offsets) -> np.ndarray:
@@ -204,36 +186,18 @@ def _check_offsets(frame_or_profile_normals: int, offsets) -> np.ndarray:
     return offsets
 
 
-def parallel_of_tangent(curve: Curve, frame: AdaptedFrame, offsets, t_grid,
-                        s_grid, ruling: str = "unit") -> SurfaceGrid:
+def parallel_of_tangent(frame: AdaptedFrame, offsets, s_grid,
+                        ruling: str = "unit") -> SurfaceGrid:
     """Offset the tangent map by a parallel normal field:
     (t, s) -> f(t) + s r(t) + sum_i u_i nu_i(t)."""
-    t_grid = np.asarray(t_grid, dtype=float)
     s_grid = np.asarray(s_grid, dtype=float)
-    _check_grid_match(t_grid, frame.grid, "parallel t-grid")
     offsets = _check_offsets(frame.n_normals, offsets)
-    pts, fp, r, rp = _ruling_fields(curve, frame.record.nodes, ruling)
-    nu = frame.nus
-    nup = -invariants(curve, frame).ells[:, :, None] * frame.mu  # -ell_i mu
-    offset_vec = np.tensordot(offsets, nu, axes=(0, 0))  # (n, d)
-    offset_der = np.tensordot(offsets, nup, axes=(0, 0))
-    points = (
-        pts[:, None, :]
-        + s_grid[None, :, None] * r[:, None, :]
-        + offset_vec[:, None, :]
-    )
-    jt = (
-        fp[:, None, :]
-        + s_grid[None, :, None] * rp[:, None, :]
-        + offset_der[:, None, :]
-    )
-    js = np.broadcast_to(r[:, None, :], jt.shape)
-    jac = np.stack([jt, js], axis=-1)
-    ranks = batched_rank(jac)
-    return SurfaceGrid(
-        map_kind="Pal", axes=(("t", t_grid), ("s", s_grid)),
-        points=points, jac_rank=ranks, ruling=ruling,
-    )
+    r, rp = _ruling(frame.record.nodes, ruling)
+    nup = -invariants(frame).ells[:, :, None] * frame.mu  # -ell_i mu
+    offset = (1.0, np.tensordot(offsets, frame.nus, axes=(0, 0)),
+              np.tensordot(offsets, nup, axes=(0, 0)))
+    return _ruled_map("Pal", frame.record, (("s", s_grid),),
+                      [(s_grid, r, rp), offset], [r[:, None, :]], ruling)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +234,8 @@ class Directrix:
     ``tangency_residual`` is the five-point-stencil witness that g' is
     parallel to the shared tangent frame; ``tangency_floor`` estimates
     the stencil's own truncation (from fifth differences of g), which
-    bounds how small the witness can be at the sampled resolution.
+    bounds how small the witness can be at the sampled resolution. The
+    residual is nan when g overflows: then nothing is witnessed.
     """
 
     offsets: np.ndarray
@@ -286,7 +251,15 @@ def _five_point_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
 
 
-def directrix(curve: Curve, frame: AdaptedFrame, profile: InvariantProfile,
+def _edge(frame: AdaptedFrame, ells, kappa, offsets):
+    """The shift sum_i u_i ell_i / kappa along tau, and the directrix
+    g = f + shift tau + sum_i u_i nu_i of the frame's normals."""
+    shift = np.tensordot(offsets, ells, axes=(0, 0)) / kappa
+    g = frame.curve.points(frame.grid) + shift[:, None] * frame.tau
+    return shift, g + np.tensordot(offsets, frame.nus, axes=(0, 0))
+
+
+def directrix(frame: AdaptedFrame, profile: InvariantProfile,
               offsets) -> Directrix:
     """g(t) = f(t) + sum_i u_i (ell_i/kappa tau + nu_i).
 
@@ -302,16 +275,14 @@ def directrix(curve: Curve, frame: AdaptedFrame, profile: InvariantProfile,
     _check_grid_match(frame.grid, profile.grid, "directrix profile grid")
     if np.min(np.abs(profile.kappa)) <= _INFLECTION_KAPPA:
         raise InflectionError("inflection in range: directrix undefined")
-    ratio = np.tensordot(offsets, profile.ells, axes=(0, 0)) / profile.kappa
-    offset_vec = np.tensordot(offsets, frame.nus, axes=(0, 0))
-    g = curve.points(frame.grid) + ratio[:, None] * frame.tau + offset_vec
+    g = _edge(frame, profile.ells, profile.kappa, offsets)[1]
 
     residual = 0.0
     floor = 0.0
-    if len(frame.grid) >= 5:
-        h = np.diff(frame.grid)
-        if np.allclose(h, h[0], rtol=1e-10, atol=0.0):
-            h = float(h[0])
+    h = uniform_step(frame.grid) if len(frame.grid) >= 5 else None
+    if h is not None:
+        # an overflowing directrix leaves a nan residual: no witness
+        with np.errstate(over="ignore", invalid="ignore"):
             gp = _five_point_derivative(g, h)
             tau_in = frame.tau[2:-2]
             ortho = gp - (np.sum(gp * tau_in, axis=1)[:, None]) * tau_in
@@ -322,16 +293,36 @@ def directrix(curve: Curve, frame: AdaptedFrame, profile: InvariantProfile,
                 floor = (h ** 4 / 30.0) * float(
                     np.linalg.norm(g5, axis=1).max()
                 )
-            limit = max(_TANGENCY_TOL, 4.0 * floor)
-            if residual > limit:
-                raise MathPreconditionError(
-                    f"directrix tangency residual {residual:.3e} exceeds "
-                    f"{limit:.3e}; frame and profile are inconsistent"
-                )
+        limit = max(_TANGENCY_TOL, 4.0 * floor)
+        if residual > limit:
+            raise MathPreconditionError(
+                f"directrix tangency residual {residual:.3e} exceeds "
+                f"{limit:.3e}; frame and profile are inconsistent"
+            )
     return Directrix(
         offsets=offsets, grid=frame.grid, points=g,
         tangency_residual=residual, tangency_floor=floor,
     )
+
+
+def directrix_tangent_map(frame: AdaptedFrame, offsets,
+                          s_grid) -> SurfaceGrid:
+    """Sample the tangent map (t, s) -> g(t) + s tau(t) of the directrix
+    g of the parallel with these offsets, ruled by the shared frame.
+
+    g' is parallel to tau, the s-column, so the t-column leaves it out.
+    A directrix without a finite tangency witness is refused.
+    """
+    s_grid = np.asarray(s_grid, dtype=float)
+    dirx = directrix(frame, invariants(frame), offsets)
+    if not np.isfinite(dirx.tangency_residual):
+        raise MathPreconditionError(
+            f"directrix tangency residual {dirx.tangency_residual:.3e}: "
+            f"the directrix overflows")
+    tau, tau_p = frame.tau, frame.record.nodes.tau_p
+    return _ruled_map("TanOfDirectrix", frame.record, (("s", s_grid),),
+                      [(s_grid, tau, tau_p)], [tau[:, None, :]], "unit",
+                      (dirx.points, np.zeros_like(dirx.points)))
 
 
 @dataclass
@@ -361,14 +352,13 @@ def verify_right_equivalence(pal: SurfaceGrid, directrix_curve: Directrix,
     s_grid = pal.axes[1][1]
     _check_grid_match(t_grid, frame.grid, "right-equivalence t-grid")
     offsets = directrix_curve.offsets
-    curve = frame.curve
 
-    def tan_of(points_g, shift):
+    def tan_of(shift, points_g):
         sigma = s_grid[None, :] - shift[:, None]
         return points_g[:, None, :] + sigma[..., None] * frame.tau[:, None, :]
 
     shift = np.tensordot(offsets, profile.ells, axes=(0, 0)) / profile.kappa
-    shared = tan_of(directrix_curve.points, shift)
+    shared = tan_of(shift, directrix_curve.points)
     shared_residual = float(
         np.linalg.norm(pal.points - shared, axis=-1).max()
     )
@@ -381,15 +371,9 @@ def verify_right_equivalence(pal: SurfaceGrid, directrix_curve: Directrix,
         back = surface_normal_transport(
             frame.record, frame.nus[:, -1, :], reverse=True, renormalize=False,
         )
-        nbar = back.vectors
-        ells_bar = invariants(curve, replace(frame, nus=nbar)).ells
-        shift_bar = np.tensordot(offsets, ells_bar, axes=(0, 0)) / profile.kappa
-        g_bar = (
-            curve.points(t_grid)
-            + shift_bar[:, None] * frame.tau
-            + np.tensordot(offsets, nbar, axes=(0, 0))
-        )
-        independent = tan_of(g_bar, shift_bar)
+        bar = replace(frame, nus=back.vectors)
+        independent = tan_of(*_edge(bar, invariants(bar).ells, profile.kappa,
+                                    offsets))
         independent_residual = float(
             np.linalg.norm(pal.points - independent, axis=-1).max()
         )
@@ -412,7 +396,7 @@ class SymplecticReport:
     samples: int
 
 
-def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
+def symplectic_pullback_check(fields: ParallelFields,
                               fd_step: float = 1e-4) -> SymplecticReport:
     """Max |entry| of the canonical two-form pulled back by the lift
     (t, u) -> (f(t) + sum u_i nu_i ; sum u_i nu_i) of the normal map.
@@ -426,7 +410,7 @@ def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
     """
     if fields.mode != "curve_normal":
         raise ValueError("symplectic check needs curve-normal parallel fields")
-    p = fields.n_fields
+    curve, p = fields.curve, fields.n_fields
     sample_ts = np.linspace(fields.grid[0], fields.grid[-1], 7)[1:-1]
     alt = np.array([0.3 * (-1.0) ** i / (1 + i) for i in range(p)])
     u_points = [np.zeros(p), alt]
@@ -451,20 +435,12 @@ def symplectic_pullback_check(curve: Curve, fields: ParallelFields,
     entries = []
     for m in range(len(sample_ts)):
         for u0 in u_points:
-            npar = 1 + p
-            dx = np.empty((npar, curve.dim))
-            dp = np.empty((npar, curve.dim))
-            for a in range(npar):
-                if a == 0:
-                    xp, pp = lift(m, 0, u0)
-                    xm, pm = lift(m, 1, u0)
-                else:
-                    e = np.zeros(p)
-                    e[a - 1] = fd_step
-                    xp, pp = lift(m, 2, u0 + e)
-                    xm, pm = lift(m, 2, u0 - e)
-                dx[a] = (xp - xm) / (2.0 * fd_step)
-                dp[a] = (pp - pm) / (2.0 * fd_step)
+            # the (+, -) ends of the differences along t, then along each u_i
+            ends = [(lift(m, 0, u0), lift(m, 1, u0))]
+            ends += [(lift(m, 2, u0 + e), lift(m, 2, u0 - e))
+                     for e in fd_step * np.eye(p)]
+            dx, dp = (np.array([(plus[k] - minus[k]) / (2.0 * fd_step)
+                                for plus, minus in ends]) for k in (0, 1))
             form = dp @ dx.T
             entries.append(np.abs(form - form.T).max())
     # np.max, unlike max(), keeps a NaN entry
@@ -484,7 +460,7 @@ class NormalFlatnessReport:
     vacuous: bool
 
 
-def normal_flatness_residual(curve: Curve, frame: AdaptedFrame,
+def normal_flatness_residual(frame: AdaptedFrame,
                              s_grid) -> NormalFlatnessReport:
     """Witness that the frame normals, extended constant along rulings,
     stay parallel for the tangent surface's normal bundle.
@@ -570,10 +546,7 @@ def normal_curvature_r4(surface_fn, e3_fn, e4_fn, s_grid, t_grid,
                 )
 
     def w34(s, t, direction):
-        if direction == "s":
-            de3 = (np.asarray(e3_fn(s + fd_step, t)) - np.asarray(e3_fn(s - fd_step, t))) / (2 * fd_step)
-        else:
-            de3 = (np.asarray(e3_fn(s, t + fd_step)) - np.asarray(e3_fn(s, t - fd_step))) / (2 * fd_step)
+        de3 = partials(e3_fn, s, t)[direction == "t"]
         return float(de3 @ np.asarray(e4_fn(s, t)))
 
     ns, nt = len(s_grid), len(t_grid)

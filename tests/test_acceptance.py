@@ -25,7 +25,7 @@ from frontals.frames import (
     structure_residuals_bishop,
     tangent_surface_unit_normal,
 )
-from frontals.frontal import contact_orders, unit_tangent
+from frontals.frontal import contact_orders
 from frontals.jets import derivative
 from frontals.linalg import orthonormal_completion
 from frontals.surfaces import (
@@ -55,7 +55,7 @@ def fine_grid(curve, spacing=SPACING):
 def frame_and_profile(entry, grid, **kw):
     seed = entry.frame_seed(grid[0]) if entry.frame_seed else None
     frame = adapted_frame(grid_record(entry.curve, grid), nu0=seed, **kw)
-    return frame, invariants(entry.curve, frame)
+    return frame, invariants(frame)
 
 
 def bishop_fields(entry, grid, **kw):
@@ -94,7 +94,7 @@ def test_criterion_02_directrix_closed_form():
     fn = entry.get("directrix").value
     worst = 0.0
     for u in (0.1, 0.5, -0.7):
-        d = directrix(entry.curve, frame, prof, [u])
+        d = directrix(frame, prof, [u])
         expected = np.array([fn(t, u) for t in grid])
         worst = max(worst, float(np.abs(d.points - expected).max()))
     ok = worst <= 1e-6
@@ -107,10 +107,10 @@ def _equivalence_residual(entry_or_curve, offsets, n_t=201, n_s=101, seed=None):
     curve = getattr(entry_or_curve, "curve", entry_or_curve)
     grid = np.linspace(curve.domain[0], curve.domain[1], n_t)
     frame = adapted_frame(grid_record(curve, grid), nu0=seed)
-    prof = invariants(curve, frame)
+    prof = invariants(frame)
     s_grid = np.linspace(-1.0, 1.0, n_s)
-    pal = parallel_of_tangent(curve, frame, offsets, grid, s_grid)
-    d = directrix(curve, frame, prof, offsets)
+    pal = parallel_of_tangent(frame, offsets, s_grid)
+    d = directrix(frame, prof, offsets)
     return verify_right_equivalence(pal, d, frame, prof).residual
 
 
@@ -124,7 +124,7 @@ def test_criterion_03_parallel_right_equivalence():
     # a resolution where the five-point stencil resolves 1e-5
     fine = fine_grid(cubic)
     frame_f = adapted_frame(grid_record(cubic, fine))
-    d_fine = directrix(cubic, frame_f, invariants(cubic, frame_f), [0.5])
+    d_fine = directrix(frame_f, invariants(frame_f), [0.5])
     assert d_fine.tangency_residual <= 1e-5
     res_r4 = _equivalence_residual(get_curve("r4curve"), [0.3, -0.2])
     coarse = _equivalence_residual(entry, [0.5], n_t=101, seed=seed)
@@ -180,7 +180,7 @@ def test_criterion_05_inflection_behaviour():
     for grid in (nodes, -nodes[::-1]):
         frame = adapted_frame(grid_record(entry.curve, grid),
                               inflection_rel_tol=1e-9)
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         measured = np.abs(singular_locus_parallel(prof, [u]).s) / abs(u)
         oracle = _example23_torsion_over_curvature(grid)
         rel = np.abs(measured - oracle) / oracle
@@ -261,9 +261,9 @@ def test_criterion_07_structure_equations():
         spacing = 2.5e-4 if cid == "example21" else SPACING
         grid = fine_grid(entry.curve, spacing)
         fields, _ = bishop_fields(entry, grid)
-        inv = bishop_invariants(entry.curve, fields)
+        inv = bishop_invariants(fields)
         worst = max(
-            structure_residuals_bishop(entry.curve, fields, inv).values()
+            structure_residuals_bishop(fields, inv).values()
         )
         ok &= worst <= tol
         details.append(f"{cid} curve-normal {worst:.2e}")
@@ -287,9 +287,9 @@ def test_criterion_07_structure_equations():
             grid = np.linspace(sub[0], sub[1], steps)
         seed = entry.frame_seed(grid[0]) if entry.frame_seed else None
         frame = adapted_frame(grid_record(entry.curve, grid), nu0=seed)
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         worst = max(
-            structure_residuals_adapted(entry.curve, frame, prof).values()
+            structure_residuals_adapted(frame, prof).values()
         )
         ok &= worst <= tol
         details.append(f"{cid} surface-normal {worst:.2e}")
@@ -321,8 +321,7 @@ def test_criterion_08_contact_orders_and_singular_sets():
         )
         t = np.linspace(-1, 1, 101)
         s = np.linspace(-1, 1, 101)
-        tf = unit_tangent(c, t)
-        grid = tangent_map(c, tf, t, s)
+        grid = tangent_map(grid_record(c, t), s)
         expected = np.zeros((101, 101), dtype=bool)
         expected[:, s == 0.0] = True
         if a2 - a1 - 1 >= 1:
@@ -344,7 +343,7 @@ def test_criterion_09_lagrangian_lift():
         entry = get_entry(cid)
         grid = entry.curve.grid(201)
         fields, _ = bishop_fields(entry, grid)
-        rep = symplectic_pullback_check(entry.curve, fields, fd_step=1e-4)
+        rep = symplectic_pullback_check(fields, fd_step=1e-4)
         worst = max(worst, rep.max_entry)
         details.append(f"{cid} {rep.max_entry:.2e}")
     ok = worst <= 1e-6
@@ -358,7 +357,7 @@ def test_criterion_10_tangent_surface_normal_flatness():
     grid = fine_grid(entry.curve)
     frame, _ = frame_and_profile(entry, grid)
     s_grid = np.array([-1.0, -0.6, -0.2, 0.3, 0.7, 1.0])
-    rep = normal_flatness_residual(entry.curve, frame, s_grid)
+    rep = normal_flatness_residual(frame, s_grid)
     ok = (not rep.vacuous) and rep.max_residual <= 1e-5
     report(10, "tangent surface of the 4-space curve stays normally flat",
            ok, f"max residual {rep.max_residual:.3e} (<= 1e-05), "

@@ -127,6 +127,15 @@ class TestSurfaceCommand:
         assert rows.shape[0] == 5 * 3 * 3
         assert (rows[:, -1] == 3).all()
 
+    def test_overflowing_directrix_refused(self):
+        rc, out, err = run_cli([
+            "surface", "--curve", "helix", "--kind", "directrix-tan",
+            "--u", "1e300", "--t-steps", "41", "--s-steps", "3",
+        ])
+        assert rc == 2 and out == ""
+        assert err == ("precondition violated: directrix tangency residual "
+                       "nan: the directrix overflows\n")
+
     def test_obj_rejected_for_r4(self):
         rc, _, err = run_cli([
             "surface", "--curve", "r4curve", "--kind", "tan",
@@ -165,6 +174,18 @@ class TestVerifyCommand:
         record = json.loads(log.read_text(), parse_constant=no_constant)
         assert record["residual"] == "inf" and record["pass"] is False
         assert record["offsets"] == [1e300]
+
+    @pytest.mark.parametrize("check", ["structure", "theorem21"])
+    def test_uniform_grid_far_from_zero(self, tmp_path, check):
+        # linspace leaves spacings one ulp of 101 apart on this grid
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("name = far-helix\ndim = 3\n"
+                       "components = [cos(t), sin(t), t]\n"
+                       "domain = [100, 101]\n", encoding="utf-8")
+        rc, out, err = run_cli(["verify", "--config", str(cfg), "--check",
+                                check, "--t-steps", "50000"])
+        assert rc == 0, err
+        assert json.loads(out.splitlines()[-1])["pass"] is True
 
     def test_theorem22_inflection_precondition(self):
         rc, _, err = run_cli([
@@ -362,6 +383,28 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert err.startswith("error: a grid of ")
         assert "exceeds the limit of 500000" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["invariants", "--curve", "helix", "--t-steps", "abc"],
+         "argument --t-steps: invalid int value: 'abc'"),
+        (["verify", "--curve", "helix", "--check", "nope"],
+         "argument --check: invalid choice: 'nope'"),
+        (["surface", "--curve", "helix"],
+         "the following arguments are required: --kind"),
+    ], ids=["type", "choice", "required"])
+    def test_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert exc.value.code == 1
+        assert err[0].startswith(f"usage: frontals {argv[0]} ")
+        assert err[-1].startswith(f"frontals {argv[0]}: error: {message}")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["surface", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: frontals surface ")
 
     def test_config_curve_pipeline(self, tmp_path):
         cfg = tmp_path / "c.cfg"

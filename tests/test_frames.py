@@ -12,6 +12,7 @@ from frontals.frames import (
     adapted_frame,
     bishop_invariants,
     bishop_transport,
+    central_difference,
     grid_record,
     inflection_points,
     invariants,
@@ -180,7 +181,7 @@ class TestInvariants:
         entry = get_entry("example22")
         grid = np.linspace(-1, 1, 201)
         frame = adapted_frame(grid_record(entry.curve, grid), nu0=entry.frame_seed(grid[0]))
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         kexp = sample(entry.get("kappa").value, grid)
         assert np.abs(prof.kappa - kexp).max() <= 1e-6
         assert np.abs(prof.ells[0] - kexp).max() <= 1e-6
@@ -191,7 +192,7 @@ class TestInvariants:
         entry = get_entry("helix")
         grid = np.linspace(0.0, 2.0 * math.pi, 301)
         frame = adapted_frame(grid_record(entry.curve, grid), nu0=entry.frame_seed(grid[0]))
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         for values in (prof.a, prof.kappa, prof.ells[0]):
             assert np.std(values) <= 1e-8 * abs(np.mean(values))
         assert np.mean(prof.a) == pytest.approx(math.sqrt(2.0), abs=1e-9)
@@ -228,7 +229,7 @@ class TestInvariants:
         grid = np.linspace(0.0, 2.0 * math.pi, 501)
         record = grid_record(entry.curve, grid)
         fields = bishop_transport(record, entry.bishop_seed(grid[0]))
-        inv = bishop_invariants(entry.curve, fields)
+        inv = bishop_invariants(fields)
         assert np.abs(inv.a - 1.0).max() <= 1e-9
         assert np.abs(inv.kappas[0] + 1.0).max() <= 1e-9  # tau'.nu1 = -1
         assert np.abs(inv.kappas[1]).max() <= 1e-9
@@ -239,13 +240,13 @@ class TestStructureResiduals:
         entry = get_entry("circle")
         grid = np.linspace(0.0, 2.0 * math.pi, 6284)
         frame = adapted_frame(grid_record(entry.curve, grid), nu0=entry.frame_seed(grid[0]))
-        prof = invariants(entry.curve, frame)
-        res = structure_residuals_adapted(entry.curve, frame, prof)
+        prof = invariants(frame)
+        res = structure_residuals_adapted(frame, prof)
         assert max(res.values()) <= 1e-5
         record = grid_record(entry.curve, grid)
         fields = bishop_transport(record, entry.bishop_seed(grid[0]))
-        inv = bishop_invariants(entry.curve, fields)
-        res2 = structure_residuals_bishop(entry.curve, fields, inv)
+        inv = bishop_invariants(fields)
+        res2 = structure_residuals_bishop(fields, inv)
         assert max(res2.values()) <= 1e-5
 
     def test_gram_drift_without_renormalization(self):
@@ -255,6 +256,21 @@ class TestStructureResiduals:
         raw = bishop_transport(record, entry.bishop_seed(grid[0]),
                                renormalize=False)
         assert raw.final_gram_dev <= 1e-5
+
+
+class TestCentralDifference:
+    def test_linspace_rounding_far_from_zero(self):
+        # the spacings of this grid differ by one ulp of 101, a relative
+        # 7e-10 of the spacing
+        grid = np.linspace(100.0, 101.0, 50000)
+        d = central_difference(grid ** 2, grid)
+        assert np.abs(d - 2.0 * grid[1:-1]).max() <= 1e-6
+
+    def test_non_uniform_grid_rejected(self):
+        grid = np.linspace(100.0, 101.0, 50000)
+        grid[7] += 1e-9
+        with pytest.raises(ValueError, match="uniform grid"):
+            central_difference(grid, grid)
 
 
 class TestInflectionPoints:

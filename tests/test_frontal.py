@@ -193,8 +193,7 @@ class TestPropernessScan:
         c = get_curve("example22")
         t = np.linspace(-1, 1, 101)
         s = np.linspace(-1, 1, 101)
-        tf = unit_tangent(c, t)
-        grid = tangent_map(c, tf, t, s)
+        grid = tangent_map(grid_record(c, t), s)
         rep = properness_scan(grid)
         assert rep.singular_fraction == pytest.approx(1.0 / 101.0)
         assert rep.largest_box_shape == (101, 1)
@@ -205,8 +204,7 @@ class TestPropernessScan:
         c = get_curve("line")
         t = np.linspace(-1, 1, 21)
         s = np.linspace(-1, 1, 21)
-        tf = unit_tangent(c, t)
-        rep = properness_scan(tangent_map(c, tf, t, s))
+        rep = properness_scan(tangent_map(grid_record(c, t), s))
         assert rep.singular_fraction == 1.0
         assert not rep.proper_estimate
 
@@ -215,7 +213,7 @@ class TestPropernessScan:
         t = np.linspace(-1, 1, 11)
         fields = bishop_transport(grid_record(entry.curve, t),
                                   entry.bishop_seed(t[0]))
-        grid = normal_map(entry.curve, fields, t, np.linspace(-1, 1, 7))
+        grid = normal_map(fields, np.linspace(-1, 1, 7))
         rep = properness_scan(grid)
         assert rep.singular_fraction == 0.0
         assert rep.proper_estimate

@@ -46,3 +46,42 @@ def test_cli_binds_adapted_frame_at_module_level():
     cli = importlib.import_module("frontals.cli")
     frames = importlib.import_module("frontals.frames")
     assert cli.adapted_frame is frames.adapted_frame
+
+
+def test_no_unused_sibling_imports():
+    # the package's __init__ imports its public names to re-export them
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        offenders += [
+            f"{path.name}:{node.lineno} imports {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if (alias.asname or alias.name) not in used
+        ]
+    assert offenders == []
+
+
+def test_frame_objects_are_not_passed_with_their_curve_or_grid():
+    # an AdaptedFrame, ParallelFields or GridRecord carries its curve and
+    # grid; a function taking one reads them there
+    carriers = {"AdaptedFrame", "ParallelFields", "GridRecord"}
+    offenders = []
+    for name in ("frames.py", "surfaces.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name[0] == "_":
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            annotations = {ast.unparse(a.annotation) for a in args
+                           if a.annotation is not None}
+            names = {a.arg for a in args}
+            if annotations & carriers and (names & {"curve", "t_grid"}
+                                           or "Curve" in annotations):
+                offenders.append(f"{name}: {node.name}")
+    assert offenders == []

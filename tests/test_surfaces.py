@@ -22,6 +22,7 @@ from frontals.linalg import orthonormal_column_basis, principal_angles
 from frontals.surfaces import (
     canal_surface,
     directrix,
+    directrix_tangent_map,
     normal_curvature_r4,
     normal_flatness_residual,
     normal_map,
@@ -56,8 +57,8 @@ class TestTangentMap:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 21)
         s = np.linspace(-1, 1, 11)
-        tf = unit_tangent(entry.curve, t)
-        grid = tangent_map(entry.curve, tf, t, s, ruling="derivative")
+        grid = tangent_map(grid_record(entry.curve, t), s,
+                           ruling="derivative")
         fn = entry.get("tan_derivative_ruling").value
         expected = np.array([[fn(ti, sj) for sj in s] for ti in t])
         assert np.abs(grid.points - expected).max() <= 1e-10
@@ -66,16 +67,15 @@ class TestTangentMap:
         for cid in ("example22", "helix", "cusp"):
             c = get_curve(cid)
             t = c.grid(11)
-            tf = unit_tangent(c, t)
-            grid = tangent_map(c, tf, t, np.array([0.0]))
+            grid = tangent_map(grid_record(c, t), np.array([0.0]))
             assert np.abs(grid.points[:, 0, :] - c.points(t)).max() <= 1e-14
 
     def test_inflection_curve_closed_form(self):
         entry = get_entry("example23")
         t = np.linspace(-1, 1, 21)
         s = np.linspace(-1, 1, 11)
-        tf = unit_tangent(entry.curve, t)
-        grid = tangent_map(entry.curve, tf, t, s, ruling="derivative")
+        grid = tangent_map(grid_record(entry.curve, t), s,
+                           ruling="derivative")
         fn = entry.get("tan_derivative_ruling").value
         expected = np.array([[fn(ti, sj) for sj in s] for ti in t])
         assert np.abs(grid.points - expected).max() <= 1e-10
@@ -87,7 +87,7 @@ class TestNormalMap:
         t = np.linspace(-1, 1, 9)
         fields = build_bishop(entry, t)
         u = np.linspace(-1, 1, 5)
-        grid = normal_map(entry.curve, fields, t, u)
+        grid = normal_map(fields, u)
         for i in range(9):
             for j in range(5):
                 for k in range(5):
@@ -100,15 +100,14 @@ class TestNormalMap:
         entry = get_entry("circle")
         t = np.linspace(0.0, 2.0 * math.pi, 33)
         fields = build_bishop(entry, t)
-        grid = normal_map(entry.curve, fields, t,
-                          [np.array([0.0, 0.3]), np.array([0.0])])
+        grid = normal_map(fields, [np.array([0.0, 0.3]), np.array([0.0])])
         assert grid.points[0, 1, 0] == pytest.approx((1.3, 0.0, 0.0))
 
     def test_zero_offset_recovers_curve(self):
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 9)
         fields = build_bishop(entry, t)
-        grid = normal_map(entry.curve, fields, t, np.array([0.0]))
+        grid = normal_map(fields, np.array([0.0]))
         assert np.abs(
             grid.points[:, 0, 0, :] - entry.curve.points(t)
         ).max() <= 1e-14
@@ -120,7 +119,7 @@ class TestCanalSurface:
         t = np.linspace(0.0, 2.0 * math.pi, 65)
         fields = build_bishop(entry, t)
         theta = np.linspace(0.0, 2.0 * math.pi, 33)
-        grid = canal_surface(entry.curve, fields, 0.3, t, theta)
+        grid = canal_surface(fields, 0.3, theta)
         assert grid.points[0, 0] == pytest.approx((1.3, 0.0, 0.0))
 
     def test_cylinder_distance(self):
@@ -128,7 +127,7 @@ class TestCanalSurface:
         t = np.linspace(-1, 1, 21)
         fields = build_bishop(entry, t)
         theta = np.linspace(0.0, 2.0 * math.pi, 17)
-        grid = canal_surface(entry.curve, fields, 1.0, t, theta)
+        grid = canal_surface(fields, 1.0, theta)
         axis_dist = np.linalg.norm(grid.points[..., 1:], axis=-1)
         assert np.abs(axis_dist - 1.0).max() <= 1e-12
 
@@ -137,7 +136,7 @@ class TestCanalSurface:
         t = np.linspace(0.0, 2.0 * math.pi, 41)
         fields = build_bishop(entry, t)
         theta = np.linspace(0.0, 2.0 * math.pi, 17)
-        grid = canal_surface(entry.curve, fields, 0.25, t, theta)
+        grid = canal_surface(fields, 0.25, theta)
         dist = np.linalg.norm(
             grid.points - entry.curve.points(t)[:, None, :], axis=-1
         )
@@ -150,8 +149,7 @@ class TestCanalSurface:
         tau0 = record.nodes.tau[0]
         fields = bishop_transport(record, np.array([[-tau0[1], tau0[0]]]))
         with pytest.raises(MathPreconditionError):
-            canal_surface(entry.curve, fields, 0.1, t,
-                          np.linspace(0, 2 * math.pi, 9))
+            canal_surface(fields, 0.1, np.linspace(0, 2 * math.pi, 9))
 
 
 class TestParallelOfTangent:
@@ -160,8 +158,7 @@ class TestParallelOfTangent:
         t = np.linspace(-1, 1, 41)
         s = np.linspace(-1, 1, 11)
         frame = build_frame(entry, t)
-        grid = parallel_of_tangent(entry.curve, frame, [0.5], t, s,
-                                   ruling="derivative")
+        grid = parallel_of_tangent(frame, [0.5], s, ruling="derivative")
         fn = entry.get("pal_derivative_ruling").value
         expected = np.array([[fn(ti, sj, 0.5) for sj in s] for ti in t])
         assert np.abs(grid.points - expected).max() <= 1e-9
@@ -171,9 +168,8 @@ class TestParallelOfTangent:
         t = np.linspace(-1, 1, 21)
         s = np.linspace(-1, 1, 11)
         frame = build_frame(entry, t)
-        tf = unit_tangent(entry.curve, t)
-        pal = parallel_of_tangent(entry.curve, frame, [0.0], t, s)
-        tan = tangent_map(entry.curve, tf, t, s)
+        pal = parallel_of_tangent(frame, [0.0], s)
+        tan = tangent_map(grid_record(entry.curve, t), s)
         assert np.abs(pal.points - tan.points).max() <= 1e-14
         assert (pal.jac_rank == tan.jac_rank).all()
 
@@ -183,7 +179,7 @@ class TestParallelOfTangent:
         t = np.linspace(-1, 1, 41)
         s = np.linspace(-1, 1, 41)  # contains 0.5 exactly
         frame = build_frame(entry, t)
-        pal = parallel_of_tangent(entry.curve, frame, [0.5], t, s)
+        pal = parallel_of_tangent(frame, [0.5], s)
         sing = np.argwhere(pal.singular_flag)
         assert len(sing) == 41
         assert all(s[j] == pytest.approx(0.5, abs=1e-12) for _, j in sing)
@@ -194,7 +190,7 @@ class TestSingularLocus:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 101)
         frame = build_frame(entry, t)
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         locus = singular_locus_parallel(prof, [0.5])
         assert np.abs(locus.s - 0.5).max() <= 1e-9
         assert locus.residuals.max() <= 1e-8
@@ -203,7 +199,7 @@ class TestSingularLocus:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 51)
         frame = build_frame(entry, t)
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         locus = singular_locus_parallel(prof, [0.0])
         assert np.abs(locus.s).max() == 0.0
 
@@ -213,7 +209,7 @@ class TestSingularLocus:
         grid = np.array([1e-3, 1e-2, 0.1, 0.5, 1.0])
         frame = adapted_frame(grid_record(entry.curve, grid),
                               inflection_rel_tol=1e-9)
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         locus = singular_locus_parallel(prof, [0.5])
         ratio = np.abs(locus.s) / 0.5
         assert ratio[0] == pytest.approx(
@@ -227,7 +223,7 @@ class TestSingularLocus:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 21)
         frame = build_frame(entry, t)
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         prof.kappa[3] = 0.0
         with pytest.raises(InflectionError):
             singular_locus_parallel(prof, [0.5])
@@ -238,7 +234,7 @@ class TestSingularLocus:
         entry = get_entry("example22")
         t_grid = np.linspace(-1, 1, 41)
         frame = build_frame(entry, t_grid)
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         locus = singular_locus_parallel(prof, [0.3])
         curve = entry.curve
         from frontals.frames import TangentEvaluator
@@ -274,19 +270,27 @@ class TestDirectrix:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 201)
         frame = build_frame(entry, t)
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         for u in (0.1, 0.5, -0.7):
-            d = directrix(entry.curve, frame, prof, [u])
+            d = directrix(frame, prof, [u])
             fn = entry.get("directrix").value
             expected = np.array([fn(ti, u) for ti in t])
             assert np.abs(d.points - expected).max() <= 1e-6
+
+    def test_tangency_witnessed_on_linspace_grid_far_from_zero(self):
+        # this grid's spacings differ by a relative 2e-10 after rounding
+        c = ExprCurve.from_sources("far", ("cos(t)", "sin(t)", "t"),
+                                   (1000.0, 1001.0))
+        frame = adapted_frame(grid_record(c, np.linspace(1000, 1001, 2001)))
+        d = directrix(frame, invariants(frame), [0.5])
+        assert 0.0 < d.tangency_residual <= 1e-9
 
     def test_zero_offset_is_curve(self):
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 51)
         frame = build_frame(entry, t)
-        prof = invariants(entry.curve, frame)
-        d = directrix(entry.curve, frame, prof, [0.0])
+        prof = invariants(frame)
+        d = directrix(frame, prof, [0.0])
         assert np.abs(d.points - entry.curve.points(t)).max() <= 1e-14
 
     def test_inconsistent_profile_rejected(self):
@@ -295,10 +299,10 @@ class TestDirectrix:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 101)
         frame = build_frame(entry, t)
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         prof.ells[0] = prof.ells[0] + 0.3 * np.sin(5.0 * t)
         with pytest.raises(MathPreconditionError, match="tangency"):
-            directrix(entry.curve, frame, prof, [0.5])
+            directrix(frame, prof, [0.5])
 
     def test_not_a_parallel_curve_for_nonzero_offset(self):
         # a parallel curve differs from f by a constant combination of
@@ -306,11 +310,11 @@ class TestDirectrix:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 101)
         frame = build_frame(entry, t)
-        prof = invariants(entry.curve, frame)
+        prof = invariants(frame)
         fields = build_bishop(entry, t)
 
         def best_constant_offset_residual(u):
-            d = directrix(entry.curve, frame, prof, [u])
+            d = directrix(frame, prof, [u])
             disp = d.points - entry.curve.points(t)
             coeffs = [np.mean(np.sum(disp * fields.vectors[i], axis=1))
                       for i in range(2)]
@@ -327,9 +331,9 @@ class TestRightEquivalence:
         t = np.linspace(-1, 1, 201)
         s = np.linspace(-1, 1, 101)
         frame = build_frame(entry, t)
-        prof = invariants(entry.curve, frame)
-        pal = parallel_of_tangent(entry.curve, frame, [0.5], t, s)
-        d = directrix(entry.curve, frame, prof, [0.5])
+        prof = invariants(frame)
+        pal = parallel_of_tangent(frame, [0.5], s)
+        d = directrix(frame, prof, [0.5])
         report = verify_right_equivalence(pal, d, frame, prof)
         assert report.residual <= 1e-6
 
@@ -338,9 +342,9 @@ class TestRightEquivalence:
         t = np.linspace(-1, 1, 51)
         s = np.linspace(-1, 1, 21)
         frame = build_frame(entry, t)
-        prof = invariants(entry.curve, frame)
-        pal = parallel_of_tangent(entry.curve, frame, [0.0], t, s)
-        d = directrix(entry.curve, frame, prof, [0.0])
+        prof = invariants(frame)
+        pal = parallel_of_tangent(frame, [0.0], s)
+        d = directrix(frame, prof, [0.0])
         report = verify_right_equivalence(pal, d, frame, prof)
         assert report.residual <= 1e-12
 
@@ -349,9 +353,9 @@ class TestRightEquivalence:
         t = np.linspace(0.0, 2.0 * math.pi, 201)
         s = np.linspace(-1, 1, 31)
         frame = build_frame(entry, t)
-        prof = invariants(entry.curve, frame)
-        pal = parallel_of_tangent(entry.curve, frame, [0.3], t, s)
-        d = directrix(entry.curve, frame, prof, [0.3])
+        prof = invariants(frame)
+        pal = parallel_of_tangent(frame, [0.3], s)
+        d = directrix(frame, prof, [0.3])
         report = verify_right_equivalence(pal, d, frame, prof)
         assert report.residual <= 1e-5
 
@@ -362,9 +366,9 @@ class TestRightEquivalence:
         def residual(n):
             t = np.linspace(-1, 1, n)
             frame = build_frame(entry, t)
-            prof = invariants(entry.curve, frame)
-            pal = parallel_of_tangent(entry.curve, frame, [0.5], t, s)
-            d = directrix(entry.curve, frame, prof, [0.5])
+            prof = invariants(frame)
+            pal = parallel_of_tangent(frame, [0.5], s)
+            d = directrix(frame, prof, [0.5])
             return verify_right_equivalence(pal, d, frame, prof).residual
 
         coarse, fine = residual(101), residual(201)
@@ -375,10 +379,10 @@ class TestRightEquivalence:
         t = np.linspace(-1, 1, 21)
         s = np.linspace(-1, 1, 11)
         frame = build_frame(entry, t)
-        prof = invariants(entry.curve, frame)
-        pal = parallel_of_tangent(entry.curve, frame, [0.5], t, s,
+        prof = invariants(frame)
+        pal = parallel_of_tangent(frame, [0.5], s,
                                   ruling="derivative")
-        d = directrix(entry.curve, frame, prof, [0.5])
+        d = directrix(frame, prof, [0.5])
         with pytest.raises(MathPreconditionError):
             verify_right_equivalence(pal, d, frame, prof)
 
@@ -387,19 +391,19 @@ class TestSymplecticPullback:
     def test_example22(self):
         entry = get_entry("example22")
         fields = build_bishop(entry, np.linspace(-1, 1, 201))
-        report = symplectic_pullback_check(entry.curve, fields)
+        report = symplectic_pullback_check(fields)
         assert report.max_entry <= 1e-6
 
     def test_line_near_machine_precision(self):
         entry = get_entry("line")
         fields = build_bishop(entry, np.linspace(-1, 1, 51))
-        report = symplectic_pullback_check(entry.curve, fields)
+        report = symplectic_pullback_check(fields)
         assert report.max_entry <= 1e-12
 
     def test_circle(self):
         entry = get_entry("circle")
         fields = build_bishop(entry, np.linspace(0, 2 * math.pi, 201))
-        report = symplectic_pullback_check(entry.curve, fields)
+        report = symplectic_pullback_check(fields)
         assert report.max_entry <= 1e-6
 
     def test_zero_step_is_not_a_pass(self):
@@ -415,7 +419,7 @@ class TestSymplecticPullback:
                               (math.inf, "not finite"),
                               (-math.inf, "not finite")):
             with pytest.raises(ConfigError, match=message):
-                symplectic_pullback_check(entry.curve, fields, step)
+                symplectic_pullback_check(fields, step)
 
 
 def flatness_oracle(frame, s_grid, exclusion=1e-7):
@@ -448,7 +452,7 @@ class TestNormalFlatnessOfTangentSurface:
         entry = get_entry(name)
         frame = build_frame(entry, np.linspace(-1.0, 1.0, 801))
         s = np.linspace(-1.0, 1.0, 9)
-        report = normal_flatness_residual(entry.curve, frame, s)
+        report = normal_flatness_residual(frame, s)
         worst, checked, skipped = flatness_oracle(frame, s)
         assert (report.checked, report.skipped) == (checked, skipped)
         assert skipped > 0 and not report.vacuous
@@ -459,7 +463,7 @@ class TestNormalFlatnessOfTangentSurface:
         t = np.arange(-1.0, 1.0 + 1e-12, 1e-3)
         frame = build_frame(entry, t)
         s = np.array([-1.0, -0.5, 0.25, 0.75, 1.0])
-        report = normal_flatness_residual(entry.curve, frame, s)
+        report = normal_flatness_residual(frame, s)
         assert not report.vacuous
         assert report.max_residual <= 1e-5
 
@@ -468,21 +472,18 @@ class TestNormalFlatnessOfTangentSurface:
         t = np.arange(-1.0, 1.0 + 1e-12, 1e-3)
         frame = build_frame(entry, t)
         s = np.array([-0.75, 0.4, 1.0])
-        report = normal_flatness_residual(entry.curve, frame, s)
+        report = normal_flatness_residual(frame, s)
         assert report.max_residual <= 1e-6
 
     def test_straight_line_vacuous(self):
         c = get_curve("line")
         t = np.linspace(-1, 1, 101)
-        tau = np.tile([1.0, 0.0, 0.0], (101, 1))
         frame = AdaptedFrame(
-            curve=c, grid=t, tau=tau,
             mu=np.tile([0.0, 1.0, 0.0], (101, 1)),
-            kappa=np.zeros(101),
             nus=np.tile([0.0, 0.0, 1.0], (1, 101, 1)).reshape(1, 101, 3),
             gram_drift_max=0.0, record=grid_record(c, t),
         )
-        report = normal_flatness_residual(c, frame, np.linspace(-1, 1, 5))
+        report = normal_flatness_residual(frame, np.linspace(-1, 1, 5))
         assert report.vacuous
 
 
@@ -533,13 +534,50 @@ class TestTangentPlaneGeometry:
         )
         t = np.linspace(-1, 1, 41)
         s = np.linspace(-1, 1, 41)
-        tf = unit_tangent(c, t)
-        grid = tangent_map(c, tf, t, s)
+        grid = tangent_map(grid_record(c, t), s)
         expected = np.zeros((41, 41), dtype=bool)
         expected[:, s == 0.0] = True
         if a2 - a1 - 1 >= 1:
             expected[t == 0.0, :] = True
         assert (grid.singular_flag == expected).all()
+
+
+class TestRankOracle:
+    """The sampler's Jacobian ranks against central differences of each
+    map's own sampled points on a fine uniform grid, which share no code
+    with the sampler."""
+
+    @staticmethod
+    def sample(kind, entry, t, s):
+        if kind == "tan":
+            return tangent_map(grid_record(entry.curve, t), s)
+        if kind == "can":
+            return canal_surface(build_bishop(entry, t), 0.3, s)
+        frame = build_frame(entry, t)
+        if kind == "pal":
+            return parallel_of_tangent(frame, [0.5], s)
+        return directrix_tangent_map(frame, [0.5], s)
+
+    @pytest.mark.parametrize("name", ["helix", "example22"])
+    @pytest.mark.parametrize("kind", ["tan", "pal", "can", "directrix-tan"])
+    def test_ranks_match_differenced_points(self, kind, name):
+        entry = get_entry(name)
+        t = np.linspace(*entry.curve.domain, 401)
+        s = (np.linspace(0.0, 2.0 * math.pi, 41) if kind == "can"
+             else np.linspace(-1.0, 1.0, 41))  # s = 0 is on the grid
+        grid = self.sample(kind, entry, t, s)
+        p, ht, hs = grid.points, t[1] - t[0], s[1] - s[0]
+        jac = np.stack([(p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * ht),
+                        (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * hs)], axis=-1)
+        sv_min = np.linalg.svd(jac, compute_uv=False)[..., -1]
+        rank = grid.jac_rank[1:-1, 1:-1]
+        assert set(np.unique(grid.jac_rank)) <= {1, 2}
+        # the t-differences err by |third derivative| h^2 / 6, and the
+        # third derivatives of both curves are at most a few units
+        assert (sv_min[rank == 1] <= ht ** 2).all()
+        assert (rank[sv_min >= 1e-3] == 2).all()
+        if kind in ("tan", "directrix-tan"):
+            assert (rank[:, s[1:-1] == 0.0] == 1).all()
 
 
 class TestNormalCurvature:
