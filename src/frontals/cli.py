@@ -265,6 +265,7 @@ def _verify_theorem22(ctx, args, tol):
     prof = invariants(frame)
     pal = parallel_of_tangent(frame, offsets, ctx.s_grid)
     dirx = directrix(frame, prof, offsets)
+    dirx.require_witness()
     report = verify_right_equivalence(pal, dirx, frame, prof)
     return _Report(report.residual, [
         f"  max |parallel - reparametrized tangent map of directrix| = "
@@ -368,20 +369,16 @@ def cmd_verify(args) -> int:
 def cmd_frontality(args) -> int:
     ctx = _CurveContext(args)
     curve = ctx.curve
-    if args.t0 is not None:
-        ts = [args.t0]
-    else:
-        ts = list(ctx.t_grid)
-    lines = []
-    all_sufficient = True
-    for t0 in ts:
-        rep = contact_orders(curve, t0, k_max=args.k_max, tol=args.tol)
-        all_sufficient &= rep.frontal_sufficient
-        lines.append(
-            f"t0={float(t0)!r} ranks={','.join(str(r) for r in rep.ranks)} "
-            f"a1={rep.a1} a2={rep.a2} "
-            f"sufficient={'yes' if rep.frontal_sufficient else 'no'}"
-        )
+    t0 = ctx.t_grid if args.t0 is None else args.t0
+    reports = contact_orders(curve, t0, k_max=args.k_max, tol=args.tol)
+    reports = reports if args.t0 is None else [reports]
+    lines = [
+        f"t0={rep.t0!r} ranks={','.join(str(r) for r in rep.ranks)} "
+        f"a1={rep.a1} a2={rep.a2} "
+        f"sufficient={'yes' if rep.frontal_sufficient else 'no'}"
+        for rep in reports
+    ]
+    all_sufficient = all(rep.frontal_sufficient for rep in reports)
     tf = unit_tangent(curve, ctx.t_grid, k_max=args.k_max)
     if tf.sign_flips:
         flips = ", ".join(map(repr, tf.grid[list(tf.sign_flips)].tolist()))

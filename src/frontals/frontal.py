@@ -7,10 +7,11 @@ velocity vanishes the tangent direction is recovered structurally from
 the jet of the velocity: the leading nonzero coefficient vector of
 ``f'(t0 + h)`` spans the limiting tangent line.
 
-:meth:`TangentEvaluator.at` and :meth:`TangentEvaluator.tau_jet_vec` take
-one parameter value or an array of them. An array is evaluated as a
-whole grid: one :meth:`Curve.jets` call gives :class:`JetArray` jets at
-every node, and the normalizations run on all regular nodes at once.
+:meth:`TangentEvaluator.at`, :meth:`TangentEvaluator.tau_jet_vec` and
+:func:`contact_orders` take one parameter value or an array of them. An
+array is evaluated as a whole grid: one :meth:`Curve.jets` call gives
+:class:`JetArray` jets at every node, and the normalizations run on all
+regular nodes at once.
 Only nodes whose speed is below ``SINGULAR_SPEED`` are re-evaluated one
 at a time to a deeper order. Each node's result is bit for bit the one
 it gets when evaluated alone, and an error names the first failing node
@@ -40,12 +41,7 @@ from .jets import (
     jet_mul,
     jet_sqrt,
 )
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    largest_true_box_2d,
-    matrix_rank,
-    rank_from_singular_values,
-)
+from .linalg import DEFAULT_RANK_TOL, batched_rank, largest_true_box_2d
 
 #: velocity norm below which the structural jet extension is used
 SINGULAR_SPEED = 1e-6
@@ -116,8 +112,9 @@ class TangentData:
     """Derivative data of a curve at one parameter value, or at each of
     an array of them.
 
-    ``tau`` is the unit tangent representative and ``tau_p`` its
-    t-derivative; ``kappa = |tau'|`` and ``mu = tau'/kappa``, with
+    ``f`` is the curve's point and ``fprime``, ``fsecond`` its first two
+    derivatives. ``tau`` is the unit tangent representative and ``tau_p``
+    its t-derivative; ``kappa = |tau'|`` and ``mu = tau'/kappa``, with
     derivative ``mu_p``. Taking kappa nonnegative resolves the
     (mu, kappa, ells) -> (-mu, -kappa, -ells) ambiguity throughout the
     package. Where tau' vanishes exactly, ``kappa`` is 0.0 and
@@ -131,6 +128,7 @@ class TangentData:
     """
 
     t: float
+    f: np.ndarray
     fprime: np.ndarray
     fsecond: np.ndarray
     tau: np.ndarray
@@ -144,8 +142,8 @@ class TangentData:
             return TangentData(*(v[i] for v in vars(self).values()))
         defined = not np.isnan(self.mu[i, 0])
         return TangentData(
-            float(self.t[i]), self.fprime[i], self.fsecond[i], self.tau[i],
-            self.tau_p[i], float(self.kappa[i]),
+            float(self.t[i]), self.f[i], self.fprime[i], self.fsecond[i],
+            self.tau[i], self.tau_p[i], float(self.kappa[i]),
             self.mu[i] if defined else None,
             self.mu_p[i] if defined else None,
         )
@@ -255,7 +253,8 @@ class TangentEvaluator:
         and the record carries the node axis.
         """
         ts, refs = self._nodes(t, ref)
-        vel = derivative_jets(self.curve.jets(ts, 3))
+        jets = self.curve.jets(ts, 3)
+        vel = derivative_jets(jets)
         tau, failure = self._tau(ts, 2, refs, vel)
         failures = [] if failure is None else [failure]
         tau_p = derivative_jets(tau)
@@ -276,7 +275,8 @@ class TangentEvaluator:
         failure = _first(failures)
         if failure is not None:
             raise failure[1]
-        data = TangentData(ts, _values(vel), _values(derivative_jets(vel)),
+        data = TangentData(ts, _values(jets), _values(vel),
+                           _values(derivative_jets(vel)),
                            _values(tau), _values(tau_p), kappa, mu, mu_p)
         return data if np.ndim(t) else data[0]
 
@@ -296,16 +296,20 @@ class WronskianReport:
     frontal_sufficient: bool
 
 
-def wronskian_matrix(curve: Curve, t0: float, k: int) -> np.ndarray:
-    """(dim x k) matrix whose j-th column is the (j+1)-th derivative."""
+def wronskian_matrix(curve: Curve, t0, k: int) -> np.ndarray:
+    """(dim x k) matrix whose j-th column is the (j+1)-th derivative; at
+    an array of N parameter values, an (N, dim, k) stack from one jet
+    evaluation, which raises at the first overflowing node."""
     jets = curve.jets(t0, k)
     cols = [
         [derivative(j, order) for j in jets] for order in range(1, k + 1)
     ]
     matrix = np.array(cols).T
-    if not np.isfinite(matrix).all():
+    finite = np.isfinite(matrix).all(axis=(-2, -1))
+    if not finite.all():
+        bad = t0 if finite.ndim == 0 else t0[np.argmin(finite)]
         raise MathPreconditionError(
-            f"derivatives at t={t0} overflow double precision"
+            f"derivatives at t={bad} overflow double precision"
         )
     return matrix
 
@@ -314,41 +318,35 @@ def wronskian_rank(curve: Curve, t0: float, k: int,
                    tol: float = DEFAULT_RANK_TOL) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return matrix_rank(wronskian_matrix(curve, t0, k), tol)
+    return int(batched_rank(wronskian_matrix(curve, t0, k), tol))
 
 
-def contact_orders(curve: Curve, t0: float, k_max: int = DEFAULT_K_MAX,
-                   tol: float = DEFAULT_RANK_TOL) -> WronskianReport:
-    """Rank profile and the first orders at which rank 1 and 2 are attained.
+def contact_orders(curve: Curve, t0, k_max: int = DEFAULT_K_MAX,
+                   tol: float = DEFAULT_RANK_TOL):
+    """Rank profile and the first orders at which rank 1 and 2 are
+    attained: a :class:`WronskianReport` at a parameter value, a list of
+    them at an array of values.
 
-    When the ranks never reach 2 up to ``k_max`` the report is
-    inconclusive (``frontal_sufficient`` is False); there is no universal
-    recipe for how large ``k_max`` must be.
+    The first k columns are ranked relative to the full matrix's scale,
+    so a tiny leading column does not count as rank 1 on its own. When
+    the ranks never reach 2 up to ``k_max`` the report is inconclusive
+    (``frontal_sufficient`` is False); there is no universal recipe for
+    how large ``k_max`` must be.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     full = wronskian_matrix(curve, t0, k_max)
-    sv_full = np.linalg.svd(full, compute_uv=False)
-    scale = sv_full.max() if sv_full.size else 0.0
-    ranks = []
-    for k in range(1, k_max + 1):
-        sub = full[:, :k]
-        sv = np.linalg.svd(sub, compute_uv=False)
-        # rank thresholds are taken relative to the full matrix so a tiny
-        # leading column does not count as rank 1 on its own
-        if scale < tol:
-            ranks.append(rank_from_singular_values(sv, tol))
-        else:
-            ranks.append(int(np.count_nonzero(sv > tol * scale)))
-    a1 = next((k for k, r in zip(range(1, k_max + 1), ranks) if r >= 1), None)
-    a2 = next((k for k, r in zip(range(1, k_max + 1), ranks) if r >= 2), None)
-    return WronskianReport(
-        t0=float(t0),
-        ranks=tuple(int(r) for r in ranks),
-        a1=a1,
-        a2=a2,
-        frontal_sufficient=a2 is not None,
-    )
+    scale = np.linalg.svd(full, compute_uv=False).max(axis=-1)
+    ranks = np.array([batched_rank(full[..., :k], tol, scale)
+                      for k in range(1, k_max + 1)]).T
+    reports = []
+    for t, row in zip(np.atleast_1d(t0).tolist(),
+                      np.atleast_2d(ranks).tolist()):
+        a1 = next((k for k, r in enumerate(row, 1) if r >= 1), None)
+        a2 = next((k for k, r in enumerate(row, 1) if r >= 2), None)
+        reports.append(WronskianReport(float(t), tuple(row), a1, a2,
+                                       frontal_sufficient=a2 is not None))
+    return reports if np.ndim(t0) else reports[0]
 
 
 # ---------------------------------------------------------------------------

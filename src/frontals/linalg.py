@@ -8,34 +8,20 @@ import numpy as np
 DEFAULT_RANK_TOL = 1e-9
 
 
-def rank_from_singular_values(sv: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count singular values above tol relative to the largest one.
+def batched_rank(mats: np.ndarray, tol: float = DEFAULT_RANK_TOL,
+                 smax=None) -> np.ndarray:
+    """Ranks of a stack of matrices with shape (..., m, n): the number of
+    singular values above ``tol * smax``, or above ``tol`` itself where
+    ``smax < tol`` (a numerically zero matrix).
 
-    Below-tol largest singular value means the matrix is numerically zero
-    and the comparison falls back to the absolute threshold.
+    ``smax`` is the scale per matrix, broadcastable to the stack shape;
+    by default each matrix's own largest singular value.
     """
-    sv = np.asarray(sv, dtype=float)
-    if sv.size == 0:
-        return 0
-    smax = sv.max()
-    if smax < tol:
-        return int(np.count_nonzero(sv > tol))
-    return int(np.count_nonzero(sv > tol * smax))
-
-
-def matrix_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return 0
-    return rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol)
-
-
-def batched_rank(mats: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Ranks of a stack of matrices with shape (..., m, n)."""
     sv = np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False)
-    smax = sv.max(axis=-1)
+    if smax is None:
+        smax = sv.max(axis=-1)
     thresh = np.where(smax < tol, tol, tol * smax)
-    return np.count_nonzero(sv > thresh[..., None], axis=-1)
+    return (sv > thresh[..., None]).sum(axis=-1)
 
 
 def gram_schmidt(vectors, against=(), pivot_tol: float = 1e-6):

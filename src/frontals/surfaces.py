@@ -97,7 +97,7 @@ def _ruled_map(map_kind, record, axes, terms, ruling_cols, ruling="n/a",
     base points and their t-derivative, (N, dim) each; by default the
     curve's points and velocities.
     """
-    f, fp = base or (record.curve.points(record.grid), record.nodes.fprime)
+    f, fp = base or (record.nodes.f, record.nodes.fprime)
     n, d = f.shape
     shape = (n, *(len(samples) for _, samples in axes))
 
@@ -234,8 +234,10 @@ class Directrix:
     ``tangency_residual`` is the five-point-stencil witness that g' is
     parallel to the shared tangent frame; ``tangency_floor`` estimates
     the stencil's own truncation (from fifth differences of g), which
-    bounds how small the witness can be at the sampled resolution. The
-    residual is nan when g overflows: then nothing is witnessed.
+    bounds how small the witness can be at the sampled resolution. Both
+    are nan on a grid the stencil cannot run on (fewer than five nodes,
+    or not uniform), and the residual is nan when g overflows: then
+    nothing is witnessed.
     """
 
     offsets: np.ndarray
@@ -243,6 +245,21 @@ class Directrix:
     points: np.ndarray
     tangency_residual: float
     tangency_floor: float
+
+    def require_witness(self):
+        """Raise :class:`MathPreconditionError` on a grid the stencil
+        cannot witness tangency on."""
+        if _stencil_step(self.grid) is None:
+            raise MathPreconditionError(
+                f"directrix tangency is witnessed only on a uniform grid "
+                f"of at least 5 nodes; this one has {len(self.grid)}"
+            )
+
+
+def _stencil_step(grid: np.ndarray) -> float | None:
+    """The spacing of a grid the five-point stencil runs on (uniform, at
+    least five nodes), else None."""
+    return uniform_step(grid) if len(grid) >= 5 else None
 
 
 def _five_point_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -255,7 +272,7 @@ def _edge(frame: AdaptedFrame, ells, kappa, offsets):
     """The shift sum_i u_i ell_i / kappa along tau, and the directrix
     g = f + shift tau + sum_i u_i nu_i of the frame's normals."""
     shift = np.tensordot(offsets, ells, axes=(0, 0)) / kappa
-    g = frame.curve.points(frame.grid) + shift[:, None] * frame.tau
+    g = frame.record.nodes.f + shift[:, None] * frame.tau
     return shift, g + np.tensordot(offsets, frame.nus, axes=(0, 0))
 
 
@@ -277,9 +294,8 @@ def directrix(frame: AdaptedFrame, profile: InvariantProfile,
         raise InflectionError("inflection in range: directrix undefined")
     g = _edge(frame, profile.ells, profile.kappa, offsets)[1]
 
-    residual = 0.0
-    floor = 0.0
-    h = uniform_step(frame.grid) if len(frame.grid) >= 5 else None
+    residual = floor = np.nan
+    h = _stencil_step(frame.grid)
     if h is not None:
         # an overflowing directrix leaves a nan residual: no witness
         with np.errstate(over="ignore", invalid="ignore"):
@@ -288,11 +304,10 @@ def directrix(frame: AdaptedFrame, profile: InvariantProfile,
             ortho = gp - (np.sum(gp * tau_in, axis=1)[:, None]) * tau_in
             scale = np.maximum(1.0, np.linalg.norm(gp, axis=1))
             residual = float((np.linalg.norm(ortho, axis=1) / scale).max())
+            floor = 0.0
             if len(frame.grid) >= 7:
                 g5 = np.diff(g, 5, axis=0) / h ** 5
-                floor = (h ** 4 / 30.0) * float(
-                    np.linalg.norm(g5, axis=1).max()
-                )
+                floor = h ** 4 / 30.0 * float(np.linalg.norm(g5, axis=1).max())
         limit = max(_TANGENCY_TOL, 4.0 * floor)
         if residual > limit:
             raise MathPreconditionError(
@@ -315,6 +330,7 @@ def directrix_tangent_map(frame: AdaptedFrame, offsets,
     """
     s_grid = np.asarray(s_grid, dtype=float)
     dirx = directrix(frame, invariants(frame), offsets)
+    dirx.require_witness()
     if not np.isfinite(dirx.tangency_residual):
         raise MathPreconditionError(
             f"directrix tangency residual {dirx.tangency_residual:.3e}: "
@@ -357,11 +373,12 @@ def verify_right_equivalence(pal: SurfaceGrid, directrix_curve: Directrix,
         sigma = s_grid[None, :] - shift[:, None]
         return points_g[:, None, :] + sigma[..., None] * frame.tau[:, None, :]
 
+    def distance(points):  # an overflowing norm is an inf residual
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(pal.points - points, axis=-1).max())
+
     shift = np.tensordot(offsets, profile.ells, axes=(0, 0)) / profile.kappa
-    shared = tan_of(shift, directrix_curve.points)
-    shared_residual = float(
-        np.linalg.norm(pal.points - shared, axis=-1).max()
-    )
+    shared_residual = distance(tan_of(shift, directrix_curve.points))
 
     # independent route: re-transport the normal frame backwards from the
     # far end and rebuild ell, g and the shift from it; renormalization is
@@ -372,11 +389,8 @@ def verify_right_equivalence(pal: SurfaceGrid, directrix_curve: Directrix,
             frame.record, frame.nus[:, -1, :], reverse=True, renormalize=False,
         )
         bar = replace(frame, nus=back.vectors)
-        independent = tan_of(*_edge(bar, invariants(bar).ells, profile.kappa,
-                                    offsets))
-        independent_residual = float(
-            np.linalg.norm(pal.points - independent, axis=-1).max()
-        )
+        independent_residual = distance(tan_of(*_edge(
+            bar, invariants(bar).ells, profile.kappa, offsets)))
     else:
         independent_residual = shared_residual
     return RightEquivalenceReport(

@@ -175,6 +175,29 @@ class TestVerifyCommand:
         assert record["residual"] == "inf" and record["pass"] is False
         assert record["offsets"] == [1e300]
 
+    def test_overflow_warns_nothing_on_stderr(self):
+        argv = [sys.executable, "-m", "frontals", "verify", "--curve",
+                "helix", "--check", "theorem22", "--u", "1e300"]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 2 and "FAIL" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--check", "theorem22"],
+        ["surface", "--kind", "directrix-tan"],
+    ], ids="-".join)
+    def test_theorem22_grid_too_short_to_witness(self, tmp_path, command):
+        # four nodes are too few for the directrix's five-point tangency
+        # witness, which must not pass unapplied
+        cfg = tmp_path / "cubic.cfg"
+        cfg.write_text("name = cubic\ndim = 3\n"
+                       "components = [t, t^2/2, t^3/6]\n"
+                       "domain = [0, 0.1]\n", encoding="utf-8")
+        rc, out, err = run_cli(command + ["--config", str(cfg),
+                                          "--t-steps", "4", "--s-steps", "3"])
+        assert rc == 2 and out == ""
+        assert err.startswith("precondition violated: directrix tangency")
+
     @pytest.mark.parametrize("check", ["structure", "theorem21"])
     def test_uniform_grid_far_from_zero(self, tmp_path, check):
         # linspace leaves spacings one ulp of 101 apart on this grid
@@ -589,6 +612,12 @@ class TestJetCallsPerCommand:
     def test_invariants(self, monkeypatch):
         counts = [self.count_jet_calls(monkeypatch, [
             "invariants", "--curve", "helix", "--t-steps", steps])
+            for steps in ("41", "401")]
+        assert counts[0] == counts[1]
+
+    def test_frontality(self, monkeypatch):
+        counts = [self.count_jet_calls(monkeypatch, [
+            "frontality", "--curve", "helix", "--t-steps", steps])
             for steps in ("41", "401")]
         assert counts[0] == counts[1]
 

@@ -13,7 +13,7 @@ from frontals.frontal import (
     wronskian_matrix,
     wronskian_rank,
 )
-from frontals.linalg import matrix_rank
+from frontals.linalg import batched_rank
 from frontals.surfaces import normal_map, tangent_map
 from frontals.frames import bishop_transport, grid_record
 
@@ -44,7 +44,7 @@ class TestWronskianRank:
             rows = int(rng.integers(1, 7))
             cols = int(rng.integers(1, 9))
             m = rng.integers(-3, 4, size=(rows, cols)).astype(float)
-            assert matrix_rank(m, 1e-9) == gauss_rank(m, 1e-9)
+            assert batched_rank(m, 1e-9) == gauss_rank(m, 1e-9)
 
 
 class TestContactOrders:
@@ -70,6 +70,34 @@ class TestContactOrders:
                 c = curve_2d(f"m{a1}{a2}", (f"t^{a1}", f"t^{a2}"))
                 rep = contact_orders(c, 0.0)
                 assert (rep.a1, rep.a2) == (a1, a2), (a1, a2, rep.ranks)
+
+    @pytest.mark.parametrize("cid", CORPUS_IDS + ("const",))
+    def test_grid_matches_per_node(self, cid):
+        # the 41-node grids hit t = 0, where cusp, example21 and example23
+        # are singular or inflected
+        if cid == "const":
+            curve = ExprCurve.from_sources("const", ("1", "2", "3"),
+                                           (-1.0, 1.0))
+        else:
+            curve = get_curve(cid)
+        grid = curve.grid(41)
+        assert 0.0 in grid
+        for k_max in (2, 8):
+            assert contact_orders(curve, grid, k_max) == [
+                contact_orders(curve, t, k_max) for t in grid]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_grid_names_first_overflowing_node(self, reverse):
+        # the order-8 derivatives of t^400 overflow from t = 6.25 on
+        curve = ExprCurve.from_sources("power-400", ("t", "t^2", "t^400"),
+                                       (-10.0, 10.0))
+        grid = np.linspace(0.0, 10.0, 9)
+        if reverse:
+            grid = grid[::-1]
+        per_node = _first_error([lambda t=t: contact_orders(curve, t)
+                                 for t in grid])
+        assert f"t={10.0 if reverse else 6.25} " in per_node[1]
+        assert _first_error([lambda: contact_orders(curve, grid)]) == per_node
 
     def test_ranks_nondecreasing(self):
         for cid in ("example22", "example23", "cusp", "example21"):
@@ -221,7 +249,7 @@ class TestPropernessScan:
 
 def _record_bytes(d):
     return [None if v is None else np.asarray(v, dtype=float).tobytes()
-            for v in (d.t, d.fprime, d.fsecond, d.tau, d.tau_p, d.kappa,
+            for v in (d.t, d.f, d.fprime, d.fsecond, d.tau, d.tau_p, d.kappa,
                       d.mu, d.mu_p)]
 
 

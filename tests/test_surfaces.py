@@ -285,6 +285,17 @@ class TestDirectrix:
         d = directrix(frame, invariants(frame), [0.5])
         assert 0.0 < d.tangency_residual <= 1e-9
 
+    def test_nothing_witnessed_on_nonuniform_grid(self):
+        # one added node leaves the grid non-uniform: the five-point
+        # stencil cannot run, so neither field reads as a passed witness
+        entry = get_entry("example22")
+        t = np.sort(np.append(np.linspace(-1, 1, 201), 0.0051))
+        frame = build_frame(entry, t)
+        d = directrix(frame, invariants(frame), [0.5])
+        assert np.isnan(d.tangency_residual) and np.isnan(d.tangency_floor)
+        with pytest.raises(MathPreconditionError, match="uniform grid"):
+            d.require_witness()
+
     def test_zero_offset_is_curve(self):
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 51)
