@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, MathPreconditionError
-from .expressions import eval_jet, eval_real, parse, to_source
-from .jets import Jet, JetArray
+from .expressions import EvalDomainError, eval_jet, eval_real, parse, to_source
+from .jets import Jet
 
 
 class CurveDefinitionError(ConfigError):
@@ -41,9 +41,9 @@ class Curve:
         raise NotImplementedError
 
     def jets(self, t0, order: int) -> list:
-        """Component jets of the given order about t0: one :class:`Jet`
-        per component for a scalar t0, one :class:`JetArray` per
-        component for an array of base points."""
+        """Component jets of the given order about t0, one :class:`Jet`
+        per component: about one point for a scalar t0, about every
+        point of an array t0 (base of shape (N,))."""
         raise NotImplementedError
 
     def points(self, ts) -> np.ndarray:
@@ -89,8 +89,16 @@ class ExprCurve(Curve):
         return np.array([eval_real(c, t) for c in self.components])
 
     def jets(self, t0, order: int) -> list:
-        with np.errstate(all="ignore"):
+        t0 = np.asarray(t0, dtype=float)
+        try:
             return [eval_jet(c, t0, order) for c in self.components]
+        except EvalDomainError:
+            if t0.ndim:
+                # raise the first failing node's own error, not that of the
+                # first component failing at any node
+                for t in t0.tolist():
+                    self.jets(t, order)
+            raise
 
 
 class CallableCurve(Curve):
@@ -104,18 +112,21 @@ class CallableCurve(Curve):
     def point(self, t: float) -> np.ndarray:
         return np.asarray(self._point_fn(float(t)), dtype=float)
 
+    @np.errstate(all="ignore")
     def jets(self, t0, order: int) -> list:
-        if not isinstance(t0, np.ndarray):
+        if np.ndim(t0) == 0:
             return self._point_jets(t0, order)
-        # the callable is scalar: evaluate the base points one at a time
+        # the callable is scalar: stack its jets at each base point
         ts = np.asarray(t0, dtype=float)
         per_point = [self._point_jets(t, order) for t in ts.tolist()]
         coeffs = np.array([[j.coeffs for j in js] for js in per_point])
         coeffs = coeffs.reshape(len(ts), self.dim, order + 1)
-        return [JetArray(ts, coeffs[:, i, :].T) for i in range(self.dim)]
+        return [Jet(ts, coeffs[:, i, :].T) for i in range(self.dim)]
 
     def _point_jets(self, t0, order: int) -> list:
         js = self._jets_fn(float(t0), int(order))
-        if len(js) != self.dim or any(not isinstance(j, Jet) for j in js):
+        if len(js) != self.dim or any(
+            not isinstance(j, Jet) or j.base.ndim for j in js
+        ):
             raise RuntimeError("jet callable returned malformed jets")
         return js

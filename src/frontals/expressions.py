@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from .errors import ConfigError, MathPreconditionError
 from .jets import Jet, JetDomainError, constant, jet_div, jet_elem, jet_pow, variable
 
@@ -370,25 +372,31 @@ def eval_jet(e: Expr, t0, order: int) -> Jet:
 
     The result equals the Taylor expansion of the expression's function
     at t0; in particular ``eval_jet(e, t, 0).value == eval_real(e, t)``.
-    An array t0 gives a :class:`~frontals.jets.JetArray` over all its
+    An array t0 gives a grid :class:`~frontals.jets.Jet` over all its
     points from one pass over the tree; a domain error at any point
-    raises, with the same message as at that point alone.
+    raises, with the same message as at that point alone. Overflow gives
+    inf coefficients, without a warning.
     """
+    with np.errstate(all="ignore"):
+        return _eval_jet(e, np.asarray(t0, dtype=float), order)
+
+
+def _eval_jet(e: Expr, t0: np.ndarray, order: int) -> Jet:
     if isinstance(e, Const):
         return constant(e.value, t0, order)
     if isinstance(e, Var):
         return variable(t0, order)
     if isinstance(e, Neg):
-        return -eval_jet(e.arg, t0, order)
+        return -_eval_jet(e.arg, t0, order)
     if isinstance(e, Call):
-        a = eval_jet(e.arg, t0, order)
+        a = _eval_jet(e.arg, t0, order)
         try:
             return jet_elem(e.fn, a)
         except JetDomainError as exc:
             raise EvalDomainError(str(exc), e) from exc
     if isinstance(e, BinOp):
-        a = eval_jet(e.left, t0, order)
-        b = eval_jet(e.right, t0, order)
+        a = _eval_jet(e.left, t0, order)
+        b = _eval_jet(e.right, t0, order)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -400,7 +408,7 @@ def eval_jet(e: Expr, t0, order: int) -> Jet:
         except JetDomainError as exc:
             raise EvalDomainError(str(exc), e) from exc
     if isinstance(e, Pow):
-        a = eval_jet(e.base, t0, order)
+        a = _eval_jet(e.base, t0, order)
         try:
             return jet_pow(a, e.exponent)
         except JetDomainError as exc:

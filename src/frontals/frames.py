@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve
-from .errors import GridTooCoarseError, InflectionError
+from .errors import GridTooCoarseError, InflectionError, MathPreconditionError
 from .frontal import (
     TangentData,
     TangentEvaluator,
@@ -174,15 +174,24 @@ def _transport(record: GridRecord, seeds, mode, renormalize,
         steps = _step_matrices(-h, m[1:], m_mid, m[:-1])[::-1]
     else:
         steps = _step_matrices(h, m[:-1], m_mid, m[1:])
+    start = order[0]
+    if _gram_deviation(basis[start]) > _SEED_ORTHO_TOL:
+        nodes = record.nodes
+        raise MathPreconditionError(
+            f"frame at the start point t={float(grid[start])} is not "
+            f"orthonormal to {_SEED_ORTHO_TOL:g}: kappa = "
+            f"{float(nodes.kappa[start]):.3e}, |tau . mu| = "
+            f"{abs(float(nodes.tau[start] @ nodes.mu[start])):.3e}"
+        )
     y = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if _gram_deviation(np.concatenate([basis[order[0]], y])) > _SEED_ORTHO_TOL:
+    if _gram_deviation(np.concatenate([basis[start], y])) > _SEED_ORTHO_TOL:
         raise ValueError(
             f"initial {mode.replace('_', '-')} vectors must be orthonormal "
             f"and orthogonal to the frame at the start point (tolerance "
             f"{_SEED_ORTHO_TOL:g})"
         )
     vectors = np.empty((len(y), len(grid), record.curve.dim))
-    vectors[:, order[0], :] = y
+    vectors[:, start, :] = y
     drift_max = 0.0
     for step, b in zip(steps, order[1:]):
         y = y @ step
@@ -254,8 +263,8 @@ class AdaptedFrame:
 
 
 def adapted_frame(record: GridRecord, nu0=None,
-                  inflection_rel_tol: float = DEFAULT_INFLECTION_REL_TOL,
-                  renormalize: bool = True) -> AdaptedFrame:
+                  inflection_rel_tol: float = DEFAULT_INFLECTION_REL_TOL
+                  ) -> AdaptedFrame:
     """Build the adapted frame {tau, mu, nu_i} along a curve without
     inflection points from its grid record.
 
@@ -287,8 +296,7 @@ def adapted_frame(record: GridRecord, nu0=None,
                 raise ValueError(
                     f"expected {q} initial normal vector(s) of dimension {d}"
                 )
-        fields = surface_normal_transport(record, seeds,
-                                          renormalize=renormalize)
+        fields = surface_normal_transport(record, seeds)
         nus = fields.vectors
         drift = fields.gram_drift_max
     return AdaptedFrame(mu=mu, nus=nus, gram_drift_max=drift, record=record)
@@ -500,6 +508,7 @@ def inflection_points(curve: Curve, grid, tol: float = 1e-7) -> list:
 # Unit normal of the tangent surface of a space curve
 
 
+@np.errstate(all="ignore")
 def tangent_surface_unit_normal(curve: Curve, t: float, order: int = 2):
     """Unit normal field of the tangent developable of a curve in R^3.
 

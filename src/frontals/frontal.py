@@ -10,8 +10,8 @@ the jet of the velocity: the leading nonzero coefficient vector of
 :meth:`TangentEvaluator.at`, :meth:`TangentEvaluator.tau_jet_vec` and
 :func:`contact_orders` take one parameter value or an array of them. An
 array is evaluated as a whole grid: one :meth:`Curve.jets` call gives
-:class:`JetArray` jets at every node, and the normalizations run on all
-regular nodes at once.
+jets about every node, and the normalizations run on all regular nodes
+at once.
 Only nodes whose speed is below ``SINGULAR_SPEED`` are re-evaluated one
 at a time to a deeper order. Each node's result is bit for bit the one
 it gets when evaluated alone, and an error names the first failing node
@@ -33,7 +33,6 @@ from .errors import (
 )
 from .jets import (
     Jet,
-    JetArray,
     derivative,
     jet_derivative,
     jet_div,
@@ -52,8 +51,10 @@ _COEFF_DROP = 1e-9
 DEFAULT_K_MAX = 8
 
 
+@np.errstate(all="ignore")
 def derivative_jets(jets: list) -> list:
-    """Formal derivative of each component jet, lowering the order."""
+    """Formal derivative of each component jet, lowering the order; a
+    coefficient that overflows becomes inf."""
     return [jet_derivative(j) for j in jets]
 
 
@@ -65,12 +66,12 @@ def _overflow_error(t) -> MathPreconditionError:
 
 @np.errstate(all="ignore")
 def _normalize_jet_vector(jets: list):
-    """(unit jets, norm jet, finite) of a vector of Jets or JetArrays.
+    """(unit jets, norm jet, finite) of a vector of jets.
 
     The jets are scaled by a power of two taken from their largest value
     coefficient before squaring, so a tiny nonzero norm does not underflow
     to zero, and the norm is scaled back. ``finite`` is False (per node
-    for JetArrays) where the unit jets, the norm or the unscaled squares
+    for grid jets) where the unit jets, the norm or the unscaled squares
     overflow double precision.
     """
     values = np.array([j.value for j in jets])
@@ -163,15 +164,15 @@ class TangentData:
 
 
 def _values(jets: list) -> np.ndarray:
-    """Value coefficients of a jet vector: (dim,) for Jets, (N, dim) for
-    JetArrays."""
+    """Value coefficients of a jet vector: (dim,) at one point, (N, dim)
+    on a grid."""
     return np.ascontiguousarray(np.array([j.value for j in jets]).T)
 
 
 def _subset(jets: list, mask: np.ndarray) -> list:
-    """The JetArrays restricted to the masked nodes, sharing one base."""
+    """The grid jets restricted to the masked nodes, sharing one base."""
     base = jets[0].base[mask]
-    return [JetArray(base, j.coeffs[:, mask]) for j in jets]
+    return [Jet(base, j.coeffs[:, mask]) for j in jets]
 
 
 def _first(failures: list):
@@ -200,8 +201,8 @@ class TangentEvaluator:
         return ts, np.reshape(ref, (len(ts), self.curve.dim))
 
     def _tau(self, ts: np.ndarray, order: int, refs, vel: list):
-        """(unit tangent JetArrays, first failure) at the nodes ``ts``
-        from the velocity JetArrays ``vel`` of the given order."""
+        """(unit tangent grid jets, first failure) at the nodes ``ts``
+        from the velocity grid jets ``vel`` of the given order."""
         n, dim = len(ts), len(vel)
         speed = np.array([math.hypot(*v) for v in _values(vel).tolist()])
         regular = speed >= SINGULAR_SPEED
@@ -233,11 +234,11 @@ class TangentEvaluator:
             raw = np.ascontiguousarray(coeffs[:, 0, :].T)
             flip = [np.dot(r, ref) < 0.0 for r, ref in zip(raw, refs)]
             coeffs[:, :, flip] = -coeffs[:, :, flip]
-        return [JetArray(ts, c) for c in coeffs], _first(failures)
+        return [Jet(ts, c) for c in coeffs], _first(failures)
 
     def tau_jet_vec(self, t, order: int) -> list:
         """Jets of the unit tangent representative, to the given order:
-        Jets at a parameter value, JetArrays at an array of them."""
+        about a parameter value or about each of an array of them."""
         ts, _ = self._nodes(t, None)
         vel = derivative_jets(self.curve.jets(ts, order + 1))
         tau, failure = self._tau(ts, order, None, vel)
@@ -296,6 +297,7 @@ class WronskianReport:
     frontal_sufficient: bool
 
 
+@np.errstate(all="ignore")
 def wronskian_matrix(curve: Curve, t0, k: int) -> np.ndarray:
     """(dim x k) matrix whose j-th column is the (j+1)-th derivative; at
     an array of N parameter values, an (N, dim, k) stack from one jet

@@ -7,25 +7,21 @@ computed by the classical coefficient recurrences, truncated silently at
 the jet order. Jets are immutable values and every operation is a pure
 function.
 
-Two value types share those recurrences:
+One type, :class:`Jet`, holds the jet at one base point or at N of them:
+``base`` has shape ``()`` or ``(N,)`` and ``coeffs`` has shape
+``(K+1,) + base.shape``, so row k holds the k-th Taylor coefficient at
+every node and one pass over an expression evaluates it on a whole grid.
+Indexing a grid jet gives the jet at one node.
 
-* :class:`Jet` is the jet at one base point; ``coeffs`` is a tuple of
-  floats.
-* :class:`JetArray` is the jet at N base points at once; ``coeffs`` is an
-  array of shape ``(K+1, N)`` whose row k holds the k-th Taylor
-  coefficient at every node, so one pass over an expression evaluates it
-  on a whole grid.
-
-Each recurrence is written once over "rows": a row is a float for a
-``Jet`` and an (N,) array for a ``JetArray``. Elementwise ``+ - * /`` and
-``sqrt`` are correctly rounded and every sum keeps its order, so column i
-of a ``JetArray`` equals the ``Jet`` about ``base[i]`` bit for bit. The
+Each recurrence is written once over rows. Elementwise ``+ - * /`` and
+``sqrt`` are correctly rounded and every sum keeps its order, so node i
+of a grid jet equals the jet about ``base[i]`` alone bit for bit. The
 constant terms of exp, sin, cos and rational powers are computed with
 ``math`` and ``**`` element by element for the same reason (numpy's
-versions differ from them in the last bit on some inputs). A product skips
-a coefficient that is zero at every node and masks one that is zero at
-some, as the scalar loop skips it. Array code can overflow to inf where
-the scalar code does; run it under ``np.errstate`` where warnings matter.
+versions differ from them in the last bit on some inputs). A product
+skips a coefficient at the nodes where it is zero, so ``0 * inf`` never
+turns into nan. Overflow gives inf; run jet code under ``np.errstate``
+where warnings matter (:func:`frontals.expressions.eval_jet` does).
 
 This is the derivative engine behind the curve derivative-matrix rank
 tests and all moving-frame computations: those modules never use symbolic
@@ -46,9 +42,33 @@ class JetDomainError(ArithmeticError):
     a non-positive constant term, ...)."""
 
 
-class _JetOps:
-    """Operators shared by :class:`Jet` and :class:`JetArray`; a subclass
-    supplies ``_new(rows)`` and ``_same_base(other)``."""
+@dataclass(frozen=True, eq=False)
+class Jet:
+    """Truncated Taylor expansions ``sum_k coeffs[k] * (t - base)^k``.
+
+    Parameters
+    ----------
+    base : float or array of shape (N,)
+        Expansion point(s), stored as an array of shape () or (N,).
+    coeffs : array of shape (K+1,) + base.shape
+        Taylor coefficients c0..cK, one row per order.
+    """
+
+    base: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        base = np.asarray(self.base, dtype=float)
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        if base.ndim > 1 or coeffs.shape[1:] != base.shape:
+            raise ValueError(
+                "jet needs base of shape () or (N,) and coeffs of shape "
+                "(K+1,) + base.shape"
+            )
+        if coeffs.ndim == base.ndim or len(coeffs) == 0:
+            raise ValueError("jet needs at least the constant coefficient")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
@@ -56,24 +76,29 @@ class _JetOps:
 
     @property
     def value(self):
-        """Function value at the base point (coefficient c0)."""
+        """Function value at the base point(s) (coefficient c0)."""
         return self.coeffs[0]
 
-    def _coerce(self, other):
-        if isinstance(other, _JetOps):
+    def __getitem__(self, i: int) -> "Jet":
+        """The jet at node i of a grid jet."""
+        return _jet(self.base[i, ...], self.coeffs[:, i])
+
+    def _new(self, coeffs) -> "Jet":
+        return _jet(self.base, coeffs)
+
+    def _coerce(self, other) -> "Jet":
+        if isinstance(other, Jet):
             _check_pair(self, other)
             return other
         return constant(float(other), self.base, self.order)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return self._new([x + y for x, y in zip(self.coeffs, other.coeffs)])
+        return self._new(self.coeffs + self._coerce(other).coeffs)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return self._new([x - y for x, y in zip(self.coeffs, other.coeffs)])
+        return self._new(self.coeffs - self._coerce(other).coeffs)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -90,245 +115,157 @@ class _JetOps:
         return jet_div(self._coerce(other), self)
 
     def __neg__(self):
-        return self._new([-c for c in self.coeffs])
+        return self._new(-self.coeffs)
 
 
-@dataclass(frozen=True)
-class Jet(_JetOps):
-    """Truncated Taylor expansion ``sum_k coeffs[k] * (t - base)^k``.
-
-    Parameters
-    ----------
-    base : float
-        Expansion point t0.
-    coeffs : tuple of float
-        Taylor coefficients c0..cK; the order is ``len(coeffs) - 1``.
-    """
-
-    base: float
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise ValueError("jet needs at least the constant coefficient")
-        object.__setattr__(self, "base", float(self.base))
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    def _new(self, rows) -> "Jet":
-        return Jet(self.base, tuple(rows))
-
-    def _same_base(self, other) -> bool:
-        return self.base == other.base
+def _jet(base: np.ndarray, coeffs: np.ndarray) -> Jet:
+    """A :class:`Jet` from arrays already of the right dtype and shapes."""
+    out = object.__new__(Jet)
+    object.__setattr__(out, "base", base)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
 
 
-@dataclass(frozen=True, eq=False)
-class JetArray(_JetOps):
-    """Jets about N base points: ``coeffs[k, i]`` is the k-th Taylor
-    coefficient about ``base[i]``.
-
-    Parameters
-    ----------
-    base : array of shape (N,)
-        Expansion points.
-    coeffs : array of shape (K+1, N)
-        Taylor coefficients, one row per order.
-    """
-
-    base: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if base.ndim != 1 or coeffs.ndim != 2 or coeffs.shape[1] != len(base):
-            raise ValueError("jet array needs base (N,) and coeffs (K+1, N)")
-        if coeffs.shape[0] == 0:
-            raise ValueError("jet needs at least the constant coefficient")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __getitem__(self, i: int) -> Jet:
-        """The :class:`Jet` at node i."""
-        return Jet(self.base[i], tuple(self.coeffs[:, i].tolist()))
-
-    def _new(self, rows) -> "JetArray":
-        out = np.empty((len(rows), len(self.base)))
-        for k, row in enumerate(rows):
-            out[k] = row
-        return JetArray(self.base, out)
-
-    def _same_base(self, other) -> bool:
-        return self.base is other.base or np.array_equal(self.base, other.base)
+def constant(value: float, base, order: int) -> Jet:
+    """Jet of the constant function ``value`` about the base point(s)."""
+    base = np.asarray(base, dtype=float)
+    if base.ndim > 1:
+        raise ValueError("jet base must be a point or a 1-d grid")
+    coeffs = np.zeros((order + 1,) + base.shape)
+    coeffs[0] = value
+    return _jet(base, coeffs)
 
 
-def constant(value: float, base, order: int):
-    """Jet of the constant function ``value``; a :class:`JetArray` when
-    ``base`` is an array of base points."""
-    if isinstance(base, np.ndarray):
-        coeffs = np.zeros((order + 1, len(base)))
-        coeffs[0] = value
-        return JetArray(base, coeffs)
-    return Jet(base, (float(value),) + (0.0,) * order)
+def variable(base, order: int) -> Jet:
+    """Jet of the identity function t about the base point(s)."""
+    jet = constant(base, base, order)
+    if order:
+        jet.coeffs[1] = 1.0
+    return jet
 
 
-def variable(base, order: int):
-    """Jet of the identity function t at t0 = base (scalar or array)."""
-    if isinstance(base, np.ndarray):
-        coeffs = np.zeros((order + 1, len(base)))
-        coeffs[0] = base
-        if order:
-            coeffs[1] = 1.0
-        return JetArray(base, coeffs)
-    if order == 0:
-        return Jet(base, (float(base),))
-    return Jet(base, (float(base), 1.0) + (0.0,) * (order - 1))
-
-
-def _check_pair(a, b) -> None:
-    if type(a) is not type(b) or not a._same_base(b):
+def _check_pair(a: Jet, b: Jet) -> None:
+    if a.base is not b.base and (a.base.shape != b.base.shape
+                                 or not (a.base == b.base).all()):
         raise ValueError("jet base mismatch")
-    if a.order != b.order:
+    if len(a.coeffs) != len(b.coeffs):
         raise ValueError("jet order mismatch")
-
-
-# ---------------------------------------------------------------------------
-# Row helpers: a row is a float (Jet) or an (N,) array (JetArray)
-
-
-def _any(condition) -> bool:
-    if isinstance(condition, np.ndarray):
-        return bool(condition.any())
-    return bool(condition)
-
-
-def _live(row):
-    """Whether a product term with this coefficient row counts: True,
-    False, or the mask of the nodes where the row is nonzero."""
-    if not isinstance(row, np.ndarray):
-        return row != 0.0
-    count = np.count_nonzero(row)
-    if count == row.size:
-        return True
-    return False if count == 0 else row != 0.0
 
 
 def _pointwise(fn, row):
     """``fn`` (a ``math`` function) applied to each entry of a row."""
-    if isinstance(row, np.ndarray):
-        return np.array([fn(x) for x in row.tolist()])
-    return fn(row)
-
-
-def _sqrt(row):
-    return np.sqrt(row) if isinstance(row, np.ndarray) else math.sqrt(row)
+    values = [fn(x) for x in np.ravel(row).tolist()]
+    return np.array(values).reshape(np.shape(row))
 
 
 # ---------------------------------------------------------------------------
-# Coefficient recurrences
+# Coefficient recurrences over rows: row k of a coefficient array holds the
+# k-th coefficient at every node
 
 
-def _mul_rows(a, b) -> list:
-    n = len(a) - 1
-    out = [0.0] * (n + 1)
-    for i, ai in enumerate(a):
-        live = _live(ai)
-        if live is False:
-            continue
-        for j in range(n + 1 - i):
-            acc = out[i + j] + ai * b[j]
-            if live is not True:
-                acc = np.where(live, acc, out[i + j])
-            out[i + j] = acc
+def _mul_rows(a, b):
+    n = len(a)
+    out = np.zeros(a.shape)
+    live = a != 0.0
+    size = live[0].size
+    for i, count in enumerate(live.reshape(n, -1).sum(axis=1).tolist()):
+        if count == size:
+            out[i:] += a[i] * b[:n - i]
+        elif count:
+            out[i:] = np.where(live[i], out[i:] + a[i] * b[:n - i], out[i:])
     return out
 
 
-def _div_rows(a, b) -> list:
+def _div_rows(a, b):
     b0 = b[0]
-    if _any(b0 == 0.0):
+    if (b0 == 0.0).any():
         raise JetDomainError("jet division singular")
+    b = list(b)
     out = []
-    for k in range(len(a)):
-        acc = a[k]
+    for k, acc in enumerate(a):
         for j in range(k):
             acc = acc - out[j] * b[k - j]
         out.append(acc / b0)
-    return out
+    return np.array(out)
 
 
-def _exp_rows(g) -> list:
-    n = len(g) - 1
-    h = [_pointwise(math.exp, g[0])] + [0.0] * n
-    for k in range(1, n + 1):
+def _exp_rows(g):
+    jg = [j * gj for j, gj in enumerate(g)]
+    h = [_pointwise(math.exp, g[0])]
+    for k in range(1, len(g)):
         acc = 0.0
         for j in range(1, k + 1):
-            acc = acc + j * g[j] * h[k - j]
-        h[k] = acc / k
-    return h
+            acc = acc + jg[j] * h[k - j]
+        h.append(acc / k)
+    return np.array(h)
 
 
-def _sin_cos_rows(g) -> tuple:
+def _sin_cos_rows(g):
     # sin and cos share the coupled recurrence s' = g'c, c' = -g's
-    n = len(g) - 1
-    s = [_pointwise(math.sin, g[0])] + [0.0] * n
-    c = [_pointwise(math.cos, g[0])] + [0.0] * n
-    for k in range(1, n + 1):
+    jg = [j * gj for j, gj in enumerate(g)]
+    s = [_pointwise(math.sin, g[0])]
+    c = [_pointwise(math.cos, g[0])]
+    for k in range(1, len(g)):
         sa = ca = 0.0
         for j in range(1, k + 1):
-            sa = sa + j * g[j] * c[k - j]
-            ca = ca - j * g[j] * s[k - j]
-        s[k] = sa / k
-        c[k] = ca / k
-    return s, c
+            sa = sa + jg[j] * c[k - j]
+            ca = ca - jg[j] * s[k - j]
+        s.append(sa / k)
+        c.append(ca / k)
+    return np.array(s), np.array(c)
 
 
-def _sqrt_rows(g) -> list:
-    if _any(g[0] <= 0.0):
+def _sqrt_rows(g):
+    if (g[0] <= 0.0).any():
         raise JetDomainError("sqrt of jet with non-positive constant term")
-    n = len(g) - 1
-    h = [_sqrt(g[0])] + [0.0] * n
-    for k in range(1, n + 1):
+    g = list(g)
+    h = [np.sqrt(g[0])]
+    for k in range(1, len(g)):
         acc = g[k]
         for j in range(1, k):
             acc = acc - h[j] * h[k - j]
-        h[k] = acc / (2.0 * h[0])
-    return h
+        h.append(acc / (2.0 * h[0]))
+    return np.array(h)
 
 
-def _rational_pow_rows(g, alpha: float) -> list:
-    if _any(g[0] <= 0.0):
+def _rational_pow_rows(g, alpha: float):
+    if (g[0] <= 0.0).any():
         raise JetDomainError(
             "rational power of jet requires a positive constant term"
         )
-    n = len(g) - 1
-    h = [_pointwise(lambda x: x ** alpha, g[0])] + [0.0] * n
-    for k in range(1, n + 1):
+    g = list(g)
+    ajg = [alpha * j * gj for j, gj in enumerate(g)]
+    h = [_pointwise(lambda x: x ** alpha, g[0])]
+    jh = [0.0]
+    for k in range(1, len(g)):
         acc = 0.0
         for j in range(1, k + 1):
-            acc = acc + alpha * j * g[j] * h[k - j]
+            acc = acc + ajg[j] * h[k - j]
         for j in range(1, k):
-            acc = acc - j * h[j] * g[k - j]
-        h[k] = acc / (k * g[0])
-    return h
+            acc = acc - jh[j] * g[k - j]
+        h.append(acc / (k * g[0]))
+        jh.append(k * h[k])
+    return np.array(h)
 
 
 # ---------------------------------------------------------------------------
-# Public operations (Jet or JetArray in, same type out)
+# Public operations
 
 
-def jet_mul(a, b):
+def jet_mul(a: Jet, b: Jet) -> Jet:
     """Cauchy product truncated at the common order."""
     _check_pair(a, b)
     return a._new(_mul_rows(a.coeffs, b.coeffs))
 
 
-def jet_div(a, b):
+def jet_div(a: Jet, b: Jet) -> Jet:
     """Quotient a/b by forward recurrence; b must have nonzero constant term
     (at every node)."""
     _check_pair(a, b)
     return a._new(_div_rows(a.coeffs, b.coeffs))
 
 
-def jet_elem(fn: str, a):
+def jet_elem(fn: str, a: Jet) -> Jet:
     """Compose an elementary function with a jet.
 
     ``fn`` is one of ``sin``, ``cos``, ``exp``, ``sqrt``. Rational powers
@@ -348,11 +285,11 @@ def jet_elem(fn: str, a):
     raise ValueError(f"unknown elementary function {fn!r}")
 
 
-def jet_sqrt(a):
+def jet_sqrt(a: Jet) -> Jet:
     return jet_elem("sqrt", a)
 
 
-def jet_pow(a, exponent):
+def jet_pow(a: Jet, exponent) -> Jet:
     """Raise a jet to an integer or rational power.
 
     Integer exponents use binary powering and work for any constant term
@@ -379,20 +316,23 @@ def jet_pow(a, exponent):
     return a._new(_rational_pow_rows(a.coeffs, float(exponent)))
 
 
-def jet_derivative(a):
+def jet_derivative(a: Jet) -> Jet:
     """Jet of the derivative, one order lower; the derivative of an order-0
     jet is the order-0 zero jet."""
-    return a._new([(k + 1) * c for k, c in enumerate(a.coeffs[1:])] or [0.0])
+    if a.order == 0:
+        return a._new(np.zeros_like(a.coeffs))
+    k = np.arange(1.0, len(a.coeffs)).reshape((-1,) + (1,) * a.base.ndim)
+    return a._new(k * a.coeffs[1:])
 
 
-def jet_ldexp(a, exponent):
+def jet_ldexp(a: Jet, exponent) -> Jet:
     """``a * 2**exponent`` coefficient by coefficient; exact unless a
-    coefficient leaves the normal range. For a JetArray ``exponent`` may
+    coefficient leaves the normal range. For a grid jet ``exponent`` may
     hold one integer per node."""
-    return a._new([np.ldexp(c, exponent) for c in a.coeffs])
+    return a._new(np.ldexp(a.coeffs, exponent))
 
 
-def derivative(a, k: int):
+def derivative(a: Jet, k: int):
     """k-th derivative of the expanded function at the base point(s)."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")

@@ -503,6 +503,47 @@ class TestOverflowInputs:
         assert rc == 1 and "overflow" in err
 
 
+class TestPreconditionMessages:
+    @staticmethod
+    def _config(tmp_path, components, domain):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"name = c\ndim = 3\ncomponents = {components}\n"
+            f"domain = {domain}\n",
+            encoding="utf-8",
+        )
+        return str(cfg)
+
+    @pytest.mark.parametrize("command", [
+        ["invariants"],
+        ["surface", "--kind", "pal"],
+        ["surface", "--kind", "directrix-tan"],
+        ["verify", "--check", "theorem21"],
+    ], ids=lambda a: "-".join(a))
+    def test_unsound_start_frame(self, tmp_path, command):
+        # kappa is about 2e-8 at t = 0.1, where rounding leaves the
+        # computed mu off orthogonal to tau by about 3e-9
+        cfg = self._config(tmp_path, "[sqrt(1+t^2), 1e8*t^2, t^2*t^(2/3)]",
+                           "[0.1, 0.6]")
+        rc, _, err = run_cli(command + ["--config", cfg, "--t-steps", "5"])
+        assert rc == 2
+        assert err.startswith("precondition violated: frame at the start "
+                              "point t=0.1 is not orthonormal")
+        assert "kappa = 1.9" in err and "|tau . mu| = " in err
+
+    @pytest.mark.parametrize("command", ["frontality", "invariants"])
+    def test_domain_error_names_the_first_failing_node(self, tmp_path,
+                                                       command):
+        # the first node, t = -1, fails in sqrt(t + 0.6); the first
+        # component fails only at nodes after it
+        cfg = self._config(tmp_path, "[sqrt(0.6-t), sqrt(t+0.6), t]",
+                           "[-1, 1]")
+        rc, _, err = run_cli([command, "--config", cfg])
+        assert rc == 2
+        assert err == ("precondition violated: sqrt of jet with "
+                       "non-positive constant term in 'sqrt(t + 0.6)'\n")
+
+
 class TestStraightSegment:
     """A straight curve whose |tau'| is rounding noise, not exact zeros:
     it has no adapted frame, so the invariants are zero, the normal

@@ -51,7 +51,7 @@ class TestCorpus:
         jets = get_curve("example21").jets(0.0, 4)
         assert all(c == 0.0 for c in jets[0].coeffs)
         assert all(c == 0.0 for c in jets[1].coeffs)
-        assert jets[2].coeffs == (0.0, 0.0, -1.0, 0.0, 0.0)
+        assert jets[2].coeffs.tolist() == [0.0, 0.0, -1.0, 0.0, 0.0]
 
 
 class TestConfig:

@@ -104,7 +104,7 @@ class TestEval:
 
     def test_identity_jet(self):
         j = eval_jet(parse("t"), 1.0, 2)
-        assert j.coeffs == (1.0, 1.0, 0.0)
+        assert j.coeffs.tolist() == [1.0, 1.0, 0.0]
 
     def test_quartic_over_24(self):
         assert eval_real(parse("t^4/24"), 2.0) == pytest.approx(16.0 / 24.0)
