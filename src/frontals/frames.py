@@ -22,12 +22,12 @@ is read by everything built on that grid: both transports (forward or
 reverse), the adapted frame, the invariants, the structure residuals
 and the surfaces. Batched matrix products turn its node and midpoint
 rows into every step's matrix ``P_n`` (one step is ``y -> y P_n``). The
-step loop multiplies by ``P_n``, measures the orthonormality drift (a
-step whose drift exceeds the limit is rejected as a too-coarse-grid
-signal) and renormalizes by Gram-Schmidt. The same ``M`` gives the
-fields' exact derivatives at the nodes, their off-grid values by short
-RK4 steps, and, as the coefficients ``nu_i . b``, the invariants ell_i
-and kappa_i.
+chained products give the raw fields, one stacked QR renormalizes them
+against every node's basis, and one batched Gram check rejects a grid
+whose step drift exceeds the limit. The same ``M`` gives the fields'
+exact derivatives at the nodes, their off-grid values by short RK4
+steps, and, as the coefficients ``nu_i . b``, the invariants ell_i and
+kappa_i.
 
 Tangent and frame derivatives come from jets of the curve (exact at the
 evaluation points), not from grid differencing; only fields that exist
@@ -52,7 +52,7 @@ from .frontal import (
     unit_tangent,
 )
 from .jets import Jet, jet_mul
-from .linalg import gram_schmidt, orthonormal_completion
+from .linalg import orthonormal_completion
 
 _SEED_ORTHO_TOL = 1e-10
 _DRIFT_LIMIT = 1e-3
@@ -152,18 +152,19 @@ class ParallelFields:
         return out
 
 
-def _gram_deviation(rows: np.ndarray) -> float:
-    """Largest |G - I| of the Gram matrices of rows (..., r, dim)."""
+def _gram_deviation(rows: np.ndarray) -> np.ndarray:
+    """Largest |G - I| of each Gram matrix of a stack of rows (..., r, dim)."""
     g = rows @ np.swapaxes(rows, -1, -2)
-    return float(np.abs(g - np.eye(rows.shape[-2])).max())
+    return np.abs(g - np.eye(rows.shape[-2])).max(axis=(-2, -1))
 
 
 def _transport(record: GridRecord, seeds, mode, renormalize,
                reverse) -> ParallelFields:
-    """RK4 transport of orthonormal seeds along the record's grid: its
-    node and midpoint rows give every step's matrix, and the fields are
-    checked and renormalized against the basis at each step's end. A
-    reverse transport runs the same steps backwards."""
+    """RK4 transport of orthonormal seeds over the record's steps, run
+    backwards if ``reverse``: the step products give the raw fields, one
+    stacked QR projects them against each node's basis if ``renormalize``,
+    and the grid is rejected at the first step that moves its start fields
+    off orthonormal by more than the drift limit."""
     grid = record.grid
     m, _, basis = _connection(mode, record.nodes)
     m_mid = _connection(mode, record.mids)[0]
@@ -174,9 +175,9 @@ def _transport(record: GridRecord, seeds, mode, renormalize,
         steps = _step_matrices(-h, m[1:], m_mid, m[:-1])[::-1]
     else:
         steps = _step_matrices(h, m[:-1], m_mid, m[1:])
-    start = order[0]
-    if _gram_deviation(basis[start]) > _SEED_ORTHO_TOL:
-        nodes = record.nodes
+    basis = basis[order]
+    if _gram_deviation(basis[0]).max() > _SEED_ORTHO_TOL:
+        nodes, start = record.nodes, order[0]
         raise MathPreconditionError(
             f"frame at the start point t={float(grid[start])} is not "
             f"orthonormal to {_SEED_ORTHO_TOL:g}: kappa = "
@@ -184,36 +185,34 @@ def _transport(record: GridRecord, seeds, mode, renormalize,
             f"{abs(float(nodes.tau[start] @ nodes.mu[start])):.3e}"
         )
     y = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if _gram_deviation(np.concatenate([basis[start], y])) > _SEED_ORTHO_TOL:
+    if _gram_deviation(np.concatenate([basis[0], y])).max() > _SEED_ORTHO_TOL:
         raise ValueError(
             f"initial {mode.replace('_', '-')} vectors must be orthonormal "
             f"and orthogonal to the frame at the start point (tolerance "
             f"{_SEED_ORTHO_TOL:g})"
         )
-    vectors = np.empty((len(y), len(grid), record.curve.dim))
-    vectors[:, start, :] = y
-    drift_max = 0.0
-    for step, b in zip(steps, order[1:]):
-        y = y @ step
-        drift = _gram_deviation(np.concatenate([basis[b], y]))
-        drift_max = max(drift_max, drift)
-        if drift > _DRIFT_LIMIT:
-            raise GridTooCoarseError(
-                f"frame transport step rejected at t={grid[b]}: "
-                f"orthonormality drift {drift:.3e} exceeds "
-                f"{_DRIFT_LIMIT:.1e}"
-            )
-        if renormalize:
-            fixed = gram_schmidt(y, against=basis[b], pivot_tol=1e-8)
-            if len(fixed) != len(y):
-                raise GridTooCoarseError(
-                    f"frame transport degenerated at t={grid[b]}"
-                )
-            y = np.array(fixed)
-        vectors[:, b, :] = y
+    vectors = np.empty((len(grid),) + y.shape)  # in step order
+    vectors[0] = y
+    for n, step in enumerate(steps):
+        vectors[n + 1] = vectors[n] @ step
+    if renormalize:
+        q, r = np.linalg.qr(np.concatenate([basis, vectors], 1).swapaxes(1, 2))
+        # diag R signs the columns; a vanished one is zeroed and fails below
+        q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        vectors = q[:, :, basis.shape[1]:].swapaxes(1, 2)
+    drift = _gram_deviation(np.concatenate([basis[1:], vectors[:-1] @ steps],
+                                           axis=1))
+    if (drift > _DRIFT_LIMIT).any():
+        k = int(np.argmax(drift > _DRIFT_LIMIT))  # the first step over it
+        raise GridTooCoarseError(
+            f"frame transport step rejected at t={grid[order[k + 1]]}: "
+            f"orthonormality drift {drift[k]:.3e} exceeds {_DRIFT_LIMIT:.1e}"
+        )
     return ParallelFields(
-        vectors=vectors, record=record, mode=mode, gram_drift_max=drift_max,
-        final_gram_dev=_gram_deviation(np.concatenate([basis[order[-1]], y])),
+        vectors=np.ascontiguousarray(vectors[order].swapaxes(0, 1)),
+        record=record, mode=mode, gram_drift_max=float(drift.max(initial=0.0)),
+        final_gram_dev=float(_gram_deviation(
+            np.concatenate([basis[-1], vectors[-1]]))),
     )
 
 
@@ -259,7 +258,8 @@ class AdaptedFrame:
         return self.nus.shape[0]
 
     def gram_deviation(self) -> float:
-        return _gram_deviation(np.stack([self.tau, self.mu, *self.nus], axis=1))
+        return float(_gram_deviation(
+            np.stack([self.tau, self.mu, *self.nus], axis=1)).max())
 
 
 def adapted_frame(record: GridRecord, nu0=None,

@@ -98,6 +98,8 @@ def leading_unit_jets(jets: list, order: int):
     coeffs = np.array([j.coeffs for j in jets]).T
     norms = np.linalg.norm(coeffs, axis=1)
     scale = norms.max()
+    if not np.isfinite(scale):
+        raise _overflow_error(jets[0].base)
     if scale == 0.0:
         return None
     m = int(np.argmax(norms > _COEFF_DROP * scale))

@@ -313,7 +313,10 @@ def jet_pow(a: Jet, exponent) -> Jet:
             if n:
                 square = jet_mul(square, square)
         return result
-    return a._new(_rational_pow_rows(a.coeffs, float(exponent)))
+    try:
+        return a._new(_rational_pow_rows(a.coeffs, float(exponent)))
+    except OverflowError as exc:
+        raise JetDomainError("power overflow in jet composition") from exc
 
 
 def jet_derivative(a: Jet) -> Jet:

@@ -492,6 +492,28 @@ class TestOverflowInputs:
         assert err.strip().endswith("tangent line undetermined at t=0.0: "
                                     "all velocity jets vanish up to order 8")
 
+    @pytest.mark.parametrize("components, domain, command, message", [
+        # a rational power whose value overflows at t = 2
+        ("[t, (1+t^2)^(1001/2), t^2]", "[0, 2]", "invariants",
+         "power overflow in jet composition in '(1.0 + t^2)^(1001/2)'"),
+        # the deep velocity jets of the singular-speed node t = 0 overflow
+        ("[t^2, 1e308*t^3, t^4]", "[-1e-110, 1e-110]", "invariants",
+         "jets at t=0.0 overflow double precision"),
+        ("[t^2, 1e308*t^3, t^4]", "[-1e-110, 1e-110]", "bishop",
+         "jets at t=0.0 overflow double precision"),
+    ], ids=["rational-power", "singular-speed", "singular-speed-bishop"])
+    def test_overflow_mid_run_is_a_precondition(self, tmp_path, components,
+                                                domain, command, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"name = big\ndim = 3\ncomponents = {components}\n"
+            f"domain = {domain}\n",
+            encoding="utf-8",
+        )
+        rc, _, err = run_cli([command, "--config", str(cfg)])
+        assert rc == 2
+        assert err == f"precondition violated: {message}\n"
+
     def test_overflow_at_load_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(

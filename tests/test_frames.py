@@ -77,12 +77,22 @@ class TestBishopTransport:
                                            [1.0, 0.0, 0.0]]))
 
     def test_too_coarse_grid_rejected(self):
-        entry = get_entry("circle")
-        grid = np.linspace(0.0, 2.0 * math.pi, 3)
-        record = grid_record(entry.curve, grid)
-        with pytest.raises(GridTooCoarseError):
-            bishop_transport(record, entry.bishop_seed(grid[0]))
-
+        # (curve, nodes, reverse, renormalize, t of the first step over
+        # the drift limit); on the helix at 6 nodes the first step already
+        # drifts too far, while backwards at 8 nodes the raw drift builds
+        # up until the third step
+        cases = [("circle", 3, False, True, "3.141592653589793"),
+                 ("helix", 6, False, True, "1.2566370614359172"),
+                 ("helix", 8, True, False, "3.5903916041026207")]
+        for cid, nodes, reverse, renormalize, t in cases:
+            grid = np.linspace(0.0, 2.0 * math.pi, nodes)
+            record = grid_record(get_entry(cid).curve, grid)
+            start = record.nodes.tau[-1 if reverse else 0]
+            seeds = orthonormal_completion([start], 3, 2)
+            with pytest.raises(GridTooCoarseError, match=rf"rejected at "
+                               rf"t={t}: orthonormality drift"):
+                bishop_transport(record, seeds, renormalize=renormalize,
+                                 reverse=reverse)
 
     def test_eval_at_one_call_matches_one_point_calls(self):
         entry = get_entry("helix")
@@ -138,6 +148,35 @@ class TestDoubleReflectionOracle:
             distances.append(np.abs(fields.vectors - oracle).max())
         assert distances[0] <= 1e-7
         orders = np.log2(np.array(distances[:-1]) / distances[1:])
+        assert ((orders >= 3.5) & (orders <= 4.5)).all(), orders
+
+
+class TestClosedFormBishopFrame:
+    """The helix (cos t, sin t, t) has speed sqrt(2), curvature and torsion
+    1/2, and Frenet normals N = -(cos t, sin t, 0) and
+    B = (sin t, -cos t, 1)/sqrt(2), with N' = sqrt(2)(-T/2 + B/2) and
+    B' = -sqrt(2) N/2. The field cos(th) N + sin(th) B has no N or B
+    component in its derivative iff th' = -sqrt(2)/2, so the Bishop frame
+    is N and B turned by th(t) = -t/sqrt(2)."""
+
+    @staticmethod
+    def bishop_frame(t):
+        s2 = math.sqrt(2.0)
+        n = np.stack([-np.cos(t), -np.sin(t), np.zeros_like(t)], axis=-1)
+        b = np.stack([np.sin(t), -np.cos(t), np.ones_like(t)], axis=-1) / s2
+        c, s = np.cos(t / s2)[:, None], np.sin(t / s2)[:, None]
+        return np.stack([c * n - s * b, s * n + c * b])
+
+    def test_helix_error_and_order(self):
+        curve = get_curve("helix")
+        errors = []
+        for n in (101, 201, 401):
+            grid = np.linspace(0.0, 2.0 * math.pi, n)
+            exact = self.bishop_frame(grid)
+            fields = bishop_transport(grid_record(curve, grid), exact[:, 0])
+            errors.append(np.abs(fields.vectors - exact).max())
+        assert errors[0] <= 1e-8, errors
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
         assert ((orders >= 3.5) & (orders <= 4.5)).all(), orders
 
 
