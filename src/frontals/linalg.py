@@ -1,27 +1,83 @@
 """Small numerical linear-algebra helpers: tolerance-based ranks,
-Gram-Schmidt with pivoting, principal angles, singular-box search."""
+closed-form singular values of ruled Jacobians, Gram-Schmidt with
+pivoting, principal angles, singular-box search."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import MathPreconditionError
+
 DEFAULT_RANK_TOL = 1e-9
+#: largest |V^T V - I| entry of ruling columns taken as orthonormal
+_RULING_ORTHO_TOL = 1e-12
 
 
-def batched_rank(mats: np.ndarray, tol: float = DEFAULT_RANK_TOL,
-                 smax=None) -> np.ndarray:
-    """Ranks of a stack of matrices with shape (..., m, n): the number of
-    singular values above ``tol * smax``, or above ``tol`` itself where
-    ``smax < tol`` (a numerically zero matrix).
+def singular_value_rank(sv: np.ndarray, tol: float = DEFAULT_RANK_TOL,
+                        smax=None) -> np.ndarray:
+    """Ranks from a stack of singular values, largest first along the
+    last axis: the number above ``tol * smax``, or above ``tol`` itself
+    where ``smax < tol`` (a numerically zero matrix).
 
     ``smax`` is the scale per matrix, broadcastable to the stack shape;
     by default each matrix's own largest singular value.
     """
-    sv = np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False)
     if smax is None:
-        smax = sv.max(axis=-1)
+        smax = sv[..., 0]
     thresh = np.where(smax < tol, tol, tol * smax)
     return (sv > thresh[..., None]).sum(axis=-1)
+
+
+def batched_rank(mats: np.ndarray, tol: float = DEFAULT_RANK_TOL,
+                 smax=None) -> np.ndarray:
+    """Ranks of a stack of matrices with shape (..., m, n), by
+    :func:`singular_value_rank` of their singular values."""
+    sv = np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False)
+    return singular_value_rank(sv, tol, smax)
+
+
+def ruled_singular_values(c: np.ndarray, v: np.ndarray,
+                          d=1.0) -> np.ndarray:
+    """Singular values, largest first, of the matrices J = [c, d V]: a
+    column c (..., m), q orthonormal columns V (..., m, q) and a scale
+    d >= 0 (...), all broadcast together. Returns (..., 1 + q).
+
+    With c_par = V^T c and c_perp = c - V c_par, J^T J has the
+    eigenvalue d^2 (q - 1 times) on the span of V orthogonal to c_par,
+    and its remaining 2x2 block has trace |c|^2 + d^2 and determinant
+    d^2 |c_perp|^2 (Golub & Van Loan, Matrix Computations, 4th ed.,
+    §8.5), so sigma_max^2 = (|c|^2 + d^2 + sqrt((|c|^2 - d^2)^2
+    + 4 d^2 |c_par|^2)) / 2 and sigma_min = d |c_perp| / sigma_max.
+    The projections are divided by each matrix's largest entry before
+    any square, so no square overflows or underflows; a singular value
+    past the float range is inf, and one of a non-finite J is nan.
+    Columns V further than ``_RULING_ORTHO_TOL`` from orthonormal raise
+    :class:`MathPreconditionError`.
+    """
+    v = np.asarray(v, dtype=float)
+    q = v.shape[-1]
+    deviation = np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(q)).max()
+    if not deviation <= _RULING_ORTHO_TOL:
+        raise MathPreconditionError(
+            f"ruling columns deviate from orthonormal by {deviation:.3e} "
+            f"(tolerance {_RULING_ORTHO_TOL:g})")
+    scale = np.maximum(np.abs(c).max(axis=-1), d)
+    scale = np.where(scale > 0.0, scale, 1.0)  # J = 0 keeps its zeros
+    c_par = c[..., None, :] @ v  # (..., 1, q)
+    c_perp = (c_par @ np.swapaxes(v, -1, -2))[..., 0, :]
+    np.subtract(c, c_perp, out=c_perp)
+    c_par /= scale[..., None, None]
+    c_perp /= scale[..., None]
+    d = d / scale
+    pp = np.einsum("...q,...q->...", c_par[..., 0, :], c_par[..., 0, :])
+    ee = np.einsum("...m,...m->...", c_perp, c_perp)
+    cc, dd = pp + ee, d * d  # |c|^2 by Pythagoras
+    smax = np.sqrt(0.5 * (cc + dd + np.sqrt((cc - dd) ** 2 + 4.0 * dd * pp)))
+    smin = d * np.sqrt(ee)
+    smin /= np.where(smax > 0.0, smax, 1.0)
+    d = np.broadcast_to(d, smax.shape)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return scale[..., None] * np.stack([smax, *[d] * (q - 1), smin], -1)
 
 
 def gram_schmidt(vectors, against=(), pivot_tol: float = 1e-6):

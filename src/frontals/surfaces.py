@@ -34,7 +34,7 @@ from .frames import (
     surface_normal_transport,
     uniform_step,
 )
-from .linalg import batched_rank
+from .linalg import ruled_singular_values, singular_value_rank
 
 RULINGS = ("unit", "derivative")
 
@@ -85,53 +85,74 @@ def _check_grid_match(grid_a, grid_b, what: str):
         raise ValueError(f"{what} must share the frame's parameter grid")
 
 
-def _ruled_map(map_kind, record, axes, terms, ruling_cols, ruling="n/a",
-               base=None) -> SurfaceGrid:
+def _ruled_map(map_kind, record, axes, terms, rulings, scale=1.0,
+               ruling="n/a", base=None) -> SurfaceGrid:
     """Sample (t, *rulings) -> base(t) + sum_i c_i(rulings) v_i(t) over
     the grid record's nodes, with per-node Jacobian ranks.
 
     ``axes`` holds the (name, samples) pairs of the ruling axes. Each
     term (c_i, v_i, v_i') has coefficients c_i over the ruling grid and
-    vectors (N, dim); ``ruling_cols`` are the Jacobian's ruling columns,
-    each broadcastable to the grid shape + (dim,). ``base`` holds the
-    base points and their t-derivative, (N, dim) each; by default the
-    curve's points and velocities.
+    vectors (N, dim). The Jacobian's ruling columns are ``scale`` times
+    the orthonormal columns ``rulings``, broadcastable to the grid shape
+    + (dim, q) and the grid shape, so its singular values come in closed
+    form (:func:`ruled_singular_values`). ``base`` holds the base points
+    and their t-derivative, (N, dim) each; by default the curve's points
+    and velocities. A node whose point, t-column or singular values
+    overflow raises :class:`MathPreconditionError` naming the node.
     """
     f, fp = base or (record.nodes.f, record.nodes.fprime)
     n, d = f.shape
-    shape = (n, *(len(samples) for _, samples in axes))
+    axes = (("t", record.grid), *axes)
+    shape = tuple(len(samples) for _, samples in axes)
 
     def along_t(v):  # rows of v spread over the ruling axes
         return v.reshape((n,) + (1,) * (len(shape) - 1) + (d,))
 
     points = np.broadcast_to(along_t(f), shape + (d,)).copy()
     jt = np.broadcast_to(along_t(fp), shape + (d,)).copy()
-    for c, v, vp in terms:
-        c = np.asarray(c)[None, ..., None]
-        points += c * along_t(v)
-        jt += c * along_t(vp)
-    cols = [np.broadcast_to(col, shape + (d,)) for col in ruling_cols]
-    return SurfaceGrid(
-        map_kind=map_kind, axes=(("t", record.grid), *axes), points=points,
-        jac_rank=batched_rank(np.stack([jt, *cols], axis=-1)), ruling=ruling,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, v, vp in terms:
+            c = np.asarray(c)[None, ..., None]
+            points += c * along_t(v)
+            jt += c * along_t(vp)
+        sv = ruled_singular_values(jt, rulings, scale)
+    # a non-finite t-column entry makes its node's singular values nan
+    if not (np.isfinite(points).all() and np.isfinite(sv).all()):
+        finite = np.isfinite(points).all(axis=-1) & np.isfinite(sv).all(axis=-1)
+        node = np.unravel_index(np.argmin(finite), shape)
+        at = ", ".join(f"{name} = {samples[i]:.6g}"
+                       for (name, samples), i in zip(axes, node))
+        raise MathPreconditionError(
+            f"{map_kind} map is not finite at {at}: a point, t-derivative "
+            f"or Jacobian singular value overflows")
+    return SurfaceGrid(map_kind=map_kind, axes=axes, points=points,
+                       jac_rank=singular_value_rank(sv), ruling=ruling)
 
 
 def _ruling(nodes, ruling):
-    """The ruling vector and its t-derivative at the record's nodes."""
+    """The ruling vector and its t-derivative at the record's nodes, and
+    the ruling as an orthonormal column (N, 1, dim, 1) times a scale: the
+    unit tangent times 1, or f'/|f'| times |f'| (tau where |f'| is 0 or
+    subnormal, too small to divide by)."""
     if ruling not in RULINGS:
         raise ValueError(f"ruling must be one of {RULINGS}")
-    return ((nodes.tau, nodes.tau_p) if ruling == "unit"
-            else (nodes.fprime, nodes.fsecond))
+    if ruling == "unit":
+        return nodes.tau, nodes.tau_p, nodes.tau[:, None, :, None], 1.0
+    speed = np.hypot.reduce(nodes.fprime, axis=-1)
+    moving = speed[:, None] >= np.finfo(float).tiny
+    unit = np.divide(nodes.fprime, speed[:, None], out=nodes.tau.copy(),
+                     where=moving)
+    return (nodes.fprime, nodes.fsecond, unit[:, None, :, None],
+            speed[:, None])
 
 
 def tangent_map(record: GridRecord, s_grid,
                 ruling: str = "unit") -> SurfaceGrid:
     """Sample (t, s) -> f(t) + s r(t) with per-node Jacobian ranks."""
     s_grid = np.asarray(s_grid, dtype=float)
-    r, rp = _ruling(record.nodes, ruling)
+    r, rp, unit, scale = _ruling(record.nodes, ruling)
     return _ruled_map("Tan", record, (("s", s_grid),), [(s_grid, r, rp)],
-                      [r[:, None, :]], ruling)
+                      unit, scale, ruling)
 
 
 def normal_map(fields: ParallelFields, u_grid) -> SurfaceGrid:
@@ -151,9 +172,10 @@ def normal_map(fields: ParallelFields, u_grid) -> SurfaceGrid:
     mesh = np.meshgrid(*(u for _, u in axes), indexing="ij")
     nu = fields.vectors  # (p, n, d)
     terms = zip(mesh, nu, fields.field_derivatives())
+    columns = np.moveaxis(nu, 0, -1)  # (n, d, p)
     return _ruled_map("Nor", fields.record, axes, terms,
-                      [v.reshape(v.shape[:1] + (1,) * p + v.shape[1:])
-                       for v in nu])
+                      columns.reshape(columns.shape[:1] + (1,) * p
+                                      + columns.shape[1:]))
 
 
 def canal_surface(fields: ParallelFields, r: float,
@@ -169,11 +191,12 @@ def canal_surface(fields: ParallelFields, r: float,
     angle_grid = np.asarray(angle_grid, dtype=float)
     nu1, nu2 = fields.vectors
     nu1p, nu2p = fields.field_derivatives()
-    c, s = r * np.cos(angle_grid), r * np.sin(angle_grid)
-    jang = (-s[None, :, None] * nu1[:, None, :]
-            + c[None, :, None] * nu2[:, None, :])
+    cos, sin = np.cos(angle_grid), np.sin(angle_grid)
+    radial = (-sin[None, :, None] * nu1[:, None, :]
+              + cos[None, :, None] * nu2[:, None, :])
     return _ruled_map("Can", fields.record, (("theta", angle_grid),),
-                      [(c, nu1, nu1p), (s, nu2, nu2p)], [jang])
+                      [(r * cos, nu1, nu1p), (r * sin, nu2, nu2p)],
+                      radial[..., None], r)
 
 
 def _check_offsets(frame_or_profile_normals: int, offsets) -> np.ndarray:
@@ -192,12 +215,12 @@ def parallel_of_tangent(frame: AdaptedFrame, offsets, s_grid,
     (t, s) -> f(t) + s r(t) + sum_i u_i nu_i(t)."""
     s_grid = np.asarray(s_grid, dtype=float)
     offsets = _check_offsets(frame.n_normals, offsets)
-    r, rp = _ruling(frame.record.nodes, ruling)
+    r, rp, unit, scale = _ruling(frame.record.nodes, ruling)
     nup = -invariants(frame).ells[:, :, None] * frame.mu  # -ell_i mu
     offset = (1.0, np.tensordot(offsets, frame.nus, axes=(0, 0)),
               np.tensordot(offsets, nup, axes=(0, 0)))
     return _ruled_map("Pal", frame.record, (("s", s_grid),),
-                      [(s_grid, r, rp), offset], [r[:, None, :]], ruling)
+                      [(s_grid, r, rp), offset], unit, scale, ruling)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +360,8 @@ def directrix_tangent_map(frame: AdaptedFrame, offsets,
             f"the directrix overflows")
     tau, tau_p = frame.tau, frame.record.nodes.tau_p
     return _ruled_map("TanOfDirectrix", frame.record, (("s", s_grid),),
-                      [(s_grid, tau, tau_p)], [tau[:, None, :]], "unit",
-                      (dirx.points, np.zeros_like(dirx.points)))
+                      [(s_grid, tau, tau_p)], tau[:, None, :, None], 1.0,
+                      "unit", (dirx.points, np.zeros_like(dirx.points)))
 
 
 @dataclass
@@ -491,11 +514,13 @@ def normal_flatness_residual(frame: AdaptedFrame,
         return NormalFlatnessReport(0.0, 0, 0, True)
 
     # Jacobian columns (f' + s tau', tau) at every (interior node, s)
-    d = frame.record.nodes[1:-1]
+    nodes = frame.record.nodes[1:-1]
     s_grid = np.asarray(s_grid, dtype=float)[:, None]
-    jt = d.fprime[:, None, :] + s_grid * d.tau_p[:, None, :]
-    jac = np.stack([jt, np.broadcast_to(d.tau[:, None, :], jt.shape)], -1)
-    kept = np.linalg.svd(jac, compute_uv=False)[..., -1] >= _FLATNESS_EXCLUSION
+    jt = nodes.fprime[:, None, :] + s_grid * nodes.tau_p[:, None, :]
+    tau = nodes.tau[:, None, :]
+    kept = (ruled_singular_values(jt, tau[..., None])[..., -1]
+            >= _FLATNESS_EXCLUSION)
+    jac = np.stack([jt, np.broadcast_to(tau, jt.shape)], -1)
     q, r = np.linalg.qr(jac[kept])
     # orthonormal_column_basis's rule: zero the columns with a tiny |R_kk|
     tiny = 1e-12 * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))

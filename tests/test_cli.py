@@ -136,6 +136,25 @@ class TestSurfaceCommand:
         assert err == ("precondition violated: directrix tangency residual "
                        "nan: the directrix overflows\n")
 
+    @pytest.mark.parametrize("argv, node", [
+        (["--curve", "example22", "--kind", "nor"],
+         "Nor map is not finite at t = -0.9, u1 = 1.7e+308, u2 = 1.7e+308"),
+        (["--curve", "example21", "--kind", "tan"],
+         "Tan map is not finite at t = -0.55, s = 1.7e+308"),
+        (["--curve", "helix", "--kind", "pal", "--u", "1e308"],
+         "Pal map is not finite at t = 0, s = 1.7e+308"),
+    ], ids=["nor", "tan", "pal"])
+    def test_overflowing_ruled_map_refused(self, argv, node):
+        # offsets near the largest double overflow a point or a t-column
+        # entry: the first such node is named instead of writing inf
+        rc, out, err = run_cli([
+            "surface", *argv, "--export", "csv", "--s-range", "1e307",
+            "1.7e308", "--t-steps", "41", "--s-steps", "3",
+        ])
+        assert rc == 2 and out == ""
+        assert err == (f"precondition violated: {node}: a point, t-derivative "
+                       f"or Jacobian singular value overflows\n")
+
     def test_obj_rejected_for_r4(self):
         rc, _, err = run_cli([
             "surface", "--curve", "r4curve", "--kind", "tan",

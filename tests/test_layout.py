@@ -85,3 +85,22 @@ def test_frame_objects_are_not_passed_with_their_curve_or_grid():
                                            or "Curve" in annotations):
                 offenders.append(f"{name}: {node.name}")
     assert offenders == []
+
+
+def test_one_rank_rule():
+    # the ruled-map sampler takes its singular values in closed form, and
+    # only linalg turns singular values into a rank by the tol * smax rule
+    surfaces = ast.parse((SRC / "surfaces.py").read_text(encoding="utf-8"))
+    svd_calls = [node.lineno for node in ast.walk(surfaces)
+                 if isinstance(node, ast.Attribute) and node.attr == "svd"]
+    assert svd_calls == []
+    thresholds = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        thresholds += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and {ast.unparse(node.left), ast.unparse(node.right)}
+            == {"tol", "smax"}
+        ]
+    assert len(thresholds) == 1 and thresholds[0].startswith("linalg.py:")

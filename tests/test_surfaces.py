@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from frontals.corpus import get_curve, get_entry
+from frontals import surfaces
+from frontals.corpus import CORPUS_IDS, get_curve, get_entry
 from frontals.curves import ExprCurve
 from frontals.errors import (
     ConfigError,
@@ -18,7 +19,12 @@ from frontals.frames import (
     invariants,
 )
 from frontals.frontal import TangentEvaluator, unit_tangent
-from frontals.linalg import orthonormal_column_basis, principal_angles
+from frontals.linalg import (
+    batched_rank,
+    orthonormal_column_basis,
+    principal_angles,
+    ruled_singular_values,
+)
 from frontals.surfaces import (
     canal_surface,
     directrix,
@@ -569,6 +575,21 @@ class TestRankOracle:
             return parallel_of_tangent(frame, [0.5], s)
         return directrix_tangent_map(frame, [0.5], s)
 
+    @staticmethod
+    def differenced_sv_min(grid):
+        """Smallest singular value of the central-difference Jacobian of
+        the sampled points at every interior node, along every axis."""
+        p = grid.points
+        inner = (slice(1, -1),) * grid.domain_dim
+        columns = []
+        for k, (_, samples) in enumerate(grid.axes):
+            ahead, behind = list(inner), list(inner)
+            ahead[k], behind[k] = slice(2, None), slice(None, -2)
+            columns.append((p[tuple(ahead)] - p[tuple(behind)])
+                           / (2.0 * (samples[1] - samples[0])))
+        jac = np.stack(columns, axis=-1)
+        return np.linalg.svd(jac, compute_uv=False)[..., -1]
+
     @pytest.mark.parametrize("name", ["helix", "example22"])
     @pytest.mark.parametrize("kind", ["tan", "pal", "can", "directrix-tan"])
     def test_ranks_match_differenced_points(self, kind, name):
@@ -577,10 +598,7 @@ class TestRankOracle:
         s = (np.linspace(0.0, 2.0 * math.pi, 41) if kind == "can"
              else np.linspace(-1.0, 1.0, 41))  # s = 0 is on the grid
         grid = self.sample(kind, entry, t, s)
-        p, ht, hs = grid.points, t[1] - t[0], s[1] - s[0]
-        jac = np.stack([(p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * ht),
-                        (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * hs)], axis=-1)
-        sv_min = np.linalg.svd(jac, compute_uv=False)[..., -1]
+        sv_min, ht = self.differenced_sv_min(grid), t[1] - t[0]
         rank = grid.jac_rank[1:-1, 1:-1]
         assert set(np.unique(grid.jac_rank)) <= {1, 2}
         # the t-differences err by |third derivative| h^2 / 6, and the
@@ -589,6 +607,91 @@ class TestRankOracle:
         assert (rank[sv_min >= 1e-3] == 2).all()
         if kind in ("tan", "directrix-tan"):
             assert (rank[:, s[1:-1] == 0.0] == 1).all()
+
+    def test_normal_map_of_helix(self):
+        # a three-parameter map differenced along t, u1 and u2; offsets
+        # up to 3 cross the focal set at distance 1/kappa = 2
+        entry = get_entry("helix")
+        t = np.linspace(*entry.curve.domain, 201)
+        grid = normal_map(build_bishop(entry, t), np.linspace(-3.0, 3.0, 31))
+        sv_min, ht = self.differenced_sv_min(grid), t[1] - t[0]
+        rank = grid.jac_rank[1:-1, 1:-1, 1:-1]
+        assert set(np.unique(grid.jac_rank)) <= {2, 3}
+        assert (sv_min[rank == 2] <= ht ** 2).all()
+        assert (rank[sv_min >= 1e-2] == 3).all()
+        assert sv_min.min() < 1e-2  # the grid passes near the focal set
+
+    def test_derivative_ruling_on_cusp(self):
+        # the ruling column f' vanishes at the cusp t = 0: rank at most 1
+        # on that row, and 0 where s = 0 makes the t-column vanish too
+        entry = get_entry("cusp")
+        t = np.linspace(*entry.curve.domain, 401)
+        s = np.linspace(-1.0, 1.0, 41)
+        grid = tangent_map(grid_record(entry.curve, t), s,
+                           ruling="derivative")
+        sv_min, ht = self.differenced_sv_min(grid), t[1] - t[0]
+        rank = grid.jac_rank[1:-1, 1:-1]
+        assert (sv_min[rank < 2] <= ht ** 2).all()
+        assert (rank[sv_min >= 1e-3] == 2).all()
+        cusp = np.argmin(np.abs(t))
+        assert (grid.jac_rank[cusp] <= 1).all()
+        assert grid.jac_rank[cusp, s == 0.0].tolist() == [0]
+        assert (grid.jac_rank[:, s == 0.0] <= 1).all()
+
+
+def structured_rank_cases():
+    """Every corpus curve with every map kind it admits: tubes need a
+    space curve, and parallels and directrices a curve that does not
+    inflect."""
+    for name in CORPUS_IDS:
+        for kind in ("tan", "tan-derivative", "pal", "pal-derivative", "can",
+                     "nor", "directrix-tan"):
+            if kind == "can" and get_curve(name).dim != 3:
+                continue
+            if (kind.startswith(("pal", "directrix"))
+                    and name in ("example21", "example23", "line")):
+                continue
+            yield name, kind
+
+
+class TestStructuredRanks:
+    """The sampler's closed-form ranks against LAPACK ranks of the same
+    Jacobians [c, d V], assembled from the sampler's own columns, under
+    the same threshold."""
+
+    @staticmethod
+    def sample(kind, entry, t, s):
+        ruling = "derivative" if kind.endswith("-derivative") else "unit"
+        if kind.startswith("tan"):
+            return tangent_map(grid_record(entry.curve, t), s, ruling)
+        if kind == "can":
+            return canal_surface(build_bishop(entry, t), 0.3, s)
+        if kind == "nor":
+            fields = build_bishop(entry, t)
+            return normal_map(fields, s if fields.n_fields < 3 else s[::2])
+        frame = build_frame(entry, t)
+        offsets = [0.5, -0.3][:frame.n_normals]
+        if kind.startswith("pal"):
+            return parallel_of_tangent(frame, offsets, s, ruling)
+        return directrix_tangent_map(frame, offsets, s)
+
+    @pytest.mark.parametrize("name, kind", list(structured_rank_cases()))
+    def test_ranks_match_lapack(self, monkeypatch, name, kind):
+        entry = get_entry(name)
+        calls = []
+
+        def spy(c, v, d=1.0):
+            calls.append((c, v, d))
+            return ruled_singular_values(c, v, d)
+
+        monkeypatch.setattr(surfaces, "ruled_singular_values", spy)
+        t = np.linspace(*entry.curve.domain, 101)
+        grid = self.sample(kind, entry, t, np.linspace(-1.0, 1.0, 21))
+        [(c, v, d)] = calls
+        rulings = np.broadcast_to(np.asarray(d)[..., None, None] * v,
+                                  c.shape + v.shape[-1:])
+        jac = np.concatenate([c[..., None], rulings], axis=-1)
+        assert (grid.jac_rank == batched_rank(jac)).all()
 
 
 class TestNormalCurvature:
