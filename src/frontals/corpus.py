@@ -10,8 +10,8 @@ value carries an ``origin`` tag:
 
 The flat piecewise curve ``example21`` cannot be written in the
 expression grammar, so it is provided with closed-form branch evaluation
-for both points and jets; at t = 0 the exponentially flat components
-contribute identically zero jets.
+for points and for jets over a 1-d array of base points; at t = 0 the
+exponentially flat components contribute identically zero jets.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .curves import CallableCurve, Curve, ExprCurve
 from .errors import ConfigError
-from .jets import constant, jet_div, jet_elem, variable
+from .jets import Jet, constant, jet_div, jet_elem, variable
 
 ORIGINS = ("reference", "identity", "derived")
 
@@ -69,16 +69,15 @@ def _flat_point(t: float) -> np.ndarray:
     return np.zeros(3)
 
 
-def _flat_jets(t0: float, order: int) -> list:
-    u = variable(t0, order)
-    z = -(u * u)
-    zero = constant(0.0, t0, order)
-    if t0 == 0.0:
-        return [zero, zero, z]
-    w = jet_elem("exp", -jet_div(constant(1.0, t0, order), u * u))
-    if t0 > 0:
-        return [w, zero, z]
-    return [zero, w, z]
+def _flat_jets(ts: np.ndarray, order: int) -> list:
+    u = variable(ts, order)
+    w = constant(0.0, ts, order)
+    off = ts != 0.0
+    v = variable(ts[off], order)
+    w.coeffs[:, off] = jet_elem(
+        "exp", -jet_div(constant(1.0, ts[off], order), v * v)).coeffs
+    return [Jet(ts, np.where(ts > 0, w.coeffs, 0.0)),
+            Jet(ts, np.where(ts < 0, w.coeffs, 0.0)), -(u * u)]
 
 
 def _example21() -> CorpusEntry:

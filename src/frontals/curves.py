@@ -2,7 +2,8 @@
 
 A curve is a map from a closed interval into R^dim with dim = 1 + p >= 2.
 Most curves come from parsed component expressions; built-in demo curves
-may override evaluation (the flat piecewise curve cannot be expressed in
+may supply their own callables instead, the jet callable taking a 1-d
+array of base points (the flat piecewise curve cannot be expressed in
 the expression grammar).
 """
 
@@ -102,7 +103,9 @@ class ExprCurve(Curve):
 
 
 class CallableCurve(Curve):
-    """Curve defined by explicit point/jet callables (built-in corpus use)."""
+    """Curve defined by explicit callables (built-in corpus use): the
+    point at one value, ``point_fn(t)``, and the component jets about
+    every value of a 1-d array, ``jets_fn(ts, order)``."""
 
     def __init__(self, name, dim, domain, point_fn, jets_fn):
         super().__init__(name, dim, domain)
@@ -114,19 +117,10 @@ class CallableCurve(Curve):
 
     @np.errstate(all="ignore")
     def jets(self, t0, order: int) -> list:
-        if np.ndim(t0) == 0:
-            return self._point_jets(t0, order)
-        # the callable is scalar: stack its jets at each base point
-        ts = np.asarray(t0, dtype=float)
-        per_point = [self._point_jets(t, order) for t in ts.tolist()]
-        coeffs = np.array([[j.coeffs for j in js] for js in per_point])
-        coeffs = coeffs.reshape(len(ts), self.dim, order + 1)
-        return [Jet(ts, coeffs[:, i, :].T) for i in range(self.dim)]
-
-    def _point_jets(self, t0, order: int) -> list:
-        js = self._jets_fn(float(t0), int(order))
-        if len(js) != self.dim or any(
-            not isinstance(j, Jet) or j.base.ndim for j in js
-        ):
+        t0 = np.asarray(t0, dtype=float)
+        js = self._jets_fn(t0.reshape(-1), int(order))
+        if len(js) != self.dim or any(not isinstance(j, Jet) or
+                                      j.coeffs.shape != (order + 1, t0.size)
+                                      for j in js):
             raise RuntimeError("jet callable returned malformed jets")
-        return js
+        return js if t0.ndim else [j[0] for j in js]

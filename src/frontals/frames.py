@@ -530,7 +530,8 @@ def tangent_surface_unit_normal(curve: Curve, t: float, order: int = 2):
         jet_mul(fp[2], fpp[0]) - jet_mul(fp[0], fpp[2]),
         jet_mul(fp[0], fpp[1]) - jet_mul(fp[1], fpp[0]),
     ]
-    nu_jets = leading_unit_jets(cross, order)
-    if nu_jets is None:
-        raise InflectionError(f"tangent-surface normal undetermined at t={t}")
+    nu_jets, failure = leading_unit_jets(cross, order, lambda t, _: (
+        InflectionError(f"tangent-surface normal undetermined at t={t}")))
+    if failure is not None:
+        raise failure[1]
     return np.array([j.value for j in nu_jets]), nu_jets

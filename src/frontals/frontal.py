@@ -11,16 +11,15 @@ the jet of the velocity: the leading nonzero coefficient vector of
 :func:`contact_orders` take one parameter value or an array of them. An
 array is evaluated as a whole grid: one :meth:`Curve.jets` call gives
 jets about every node, and the normalizations run on all regular nodes
-at once.
-Only nodes whose speed is below ``SINGULAR_SPEED`` are re-evaluated one
-at a time to a deeper order. Each node's result is bit for bit the one
-it gets when evaluated alone, and an error names the first failing node
-in array order, as a loop over the nodes would.
+at once. The nodes whose speed is below ``SINGULAR_SPEED`` are
+evaluated again together, through one deeper :meth:`Curve.jets` call.
+Each node's result is bit for bit the one it gets when evaluated alone,
+and an error names the first failing node in array order, as a loop
+over the nodes would.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,21 +65,19 @@ def _overflow_error(t) -> MathPreconditionError:
 
 @np.errstate(all="ignore")
 def _normalize_jet_vector(jets: list):
-    """(unit jets, norm jet, finite) of a vector of jets.
+    """(unit jets, norm jet, finite) of a vector of grid jets.
 
     The jets are scaled by a power of two taken from their largest value
     coefficient before squaring, so a tiny nonzero norm does not underflow
-    to zero, and the norm is scaled back. ``finite`` is False (per node
-    for grid jets) where the unit jets, the norm or the unscaled squares
-    overflow double precision.
+    to zero, and the norm is scaled back. ``finite`` is False at the nodes
+    where the unit jets, the norm or the unscaled squares overflow double
+    precision.
     """
     values = np.array([j.value for j in jets])
     exponent = np.frexp(np.abs(values).max(axis=0))[1]
     scaled = [jet_ldexp(j, -exponent) for j in jets]
-    s2 = None
-    for j in scaled:
-        q = jet_mul(j, j)
-        s2 = q if s2 is None else s2 + q
+    squares = [jet_mul(j, j) for j in scaled]
+    s2 = sum(squares[1:], squares[0])
     norm = jet_sqrt(s2)
     unit = [jet_div(j, norm) for j in scaled]
     norm = jet_ldexp(norm, exponent)
@@ -90,24 +87,39 @@ def _normalize_jet_vector(jets: list):
     return unit, norm, finite
 
 
-def leading_unit_jets(jets: list, order: int):
+@np.errstate(all="ignore")
+def leading_unit_jets(jets: list, order: int, undetermined):
     """Unit jets, to the given order, of a jet vector with the leading
-    power of ``t - base`` divided out: the first coefficient vector above
-    ``_COEFF_DROP`` times the largest one becomes the value. Returns None
-    when every coefficient vanishes."""
-    coeffs = np.array([j.coeffs for j in jets]).T
-    norms = np.linalg.norm(coeffs, axis=1)
-    scale = norms.max()
-    if not np.isfinite(scale):
-        raise _overflow_error(jets[0].base)
-    if scale == 0.0:
-        return None
-    m = int(np.argmax(norms > _COEFF_DROP * scale))
-    shifted = [Jet(j.base, j.coeffs[m:m + order + 1]) for j in jets]
-    unit, norm, finite = _normalize_jet_vector(shifted)
-    if not finite:
-        raise _overflow_error(norm.base)
-    return unit
+    power of ``t - base`` divided out at each node (the first coefficient
+    vector above ``_COEFF_DROP`` times the largest one becomes the value),
+    and the first failing (node index, error) or None. A node fails where
+    its jets overflow, and with ``undetermined(t, lead)`` where fewer than
+    ``order + 1`` coefficients follow its leading one, of index ``lead``
+    (one past the last where all vanish); its unit jets are zero."""
+    base = jets[0].base
+    nodes = base.reshape(-1)
+    coeffs = np.array([j.coeffs.reshape(-1, nodes.size) for j in jets])
+    norms = np.linalg.norm(coeffs, axis=0)
+    scale = norms.max(axis=0)
+    live = norms > _COEFF_DROP * scale
+    lead = np.where(live.any(axis=0), live.argmax(axis=0), len(norms))
+    overflow = ~np.isfinite(scale)
+    good = ~overflow & (lead < len(norms) - order)
+    unit = np.zeros((len(jets), order + 1, nodes.size))
+    rows = lead[good] + np.arange(order + 1)[:, None]
+    shifted = np.take_along_axis(coeffs[:, :, good], rows[None], axis=1)
+    normalized, _, finite = _normalize_jet_vector(
+        [Jet(nodes[good], c) for c in shifted])
+    unit[:, :, good] = [j.coeffs for j in normalized]
+    overflow[good] = ~finite
+    failure = None
+    bad = np.flatnonzero(overflow | ~good)
+    if bad.size:
+        i, t = int(bad[0]), float(nodes[bad[0]])
+        failure = i, (_overflow_error(t) if overflow[i]
+                      else undetermined(t, int(lead[i])))
+    shape = (order + 1,) + base.shape
+    return [Jet(base, c.reshape(shape)) for c in unit], failure
 
 
 @dataclass(frozen=True)
@@ -177,9 +189,12 @@ def _subset(jets: list, mask: np.ndarray) -> list:
     return [Jet(base, j.coeffs[:, mask]) for j in jets]
 
 
-def _first(failures: list):
-    """The failure (node index, error) of the lowest node, else None."""
-    return min(failures, key=lambda f: f[0], default=None)
+def _raise_first(failures: list, ts: np.ndarray) -> None:
+    """Raise the error of the lowest failing (node index, error), an
+    overflow error where the error is None."""
+    if failures:
+        i, error = min(failures, key=lambda f: f[0])
+        raise error or _overflow_error(ts[i])
 
 
 class TangentEvaluator:
@@ -194,90 +209,74 @@ class TangentEvaluator:
         self.curve = curve
         self.k_max = k_max
 
-    def _nodes(self, t, ref):
-        """Parameter values as an array, and the sign references as one
-        row per value (or None)."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if ref is None:
-            return ts, None
-        return ts, np.reshape(ref, (len(ts), self.curve.dim))
+    @np.errstate(all="ignore")
+    def _tau(self, ts: np.ndarray, order: int, refs, vel: list,
+             failures: list) -> list:
+        """Unit tangent grid jets at the nodes ``ts`` from the velocity
+        grid jets ``vel`` of the given order; node failures are appended
+        to ``failures``."""
+        regular = np.linalg.norm(_values(vel), axis=1) >= SINGULAR_SPEED
+        coeffs = np.zeros((len(vel), order + 1, len(ts)))
+        unit, _, finite = _normalize_jet_vector(_subset(vel, regular))
+        coeffs[:, :, regular] = [j.coeffs for j in unit]
+        failures += [(i, None) for i in np.flatnonzero(regular)[~finite]]
+        slow = np.flatnonzero(~regular)
+        if slow.size:
+            deep = order + self.k_max
 
-    def _tau(self, ts: np.ndarray, order: int, refs, vel: list):
-        """(unit tangent grid jets, first failure) at the nodes ``ts``
-        from the velocity grid jets ``vel`` of the given order."""
-        n, dim = len(ts), len(vel)
-        speed = np.array([math.hypot(*v) for v in _values(vel).tolist()])
-        regular = speed >= SINGULAR_SPEED
-        coeffs = np.zeros((dim, order + 1, n))
-        failures = []
-        if regular.any():
-            unit, _, finite = _normalize_jet_vector(_subset(vel, regular))
-            coeffs[:, :, regular] = [j.coeffs for j in unit]
-            bad = np.flatnonzero(regular)[~finite]
-            if bad.size:
-                failures.append((bad[0], _overflow_error(ts[bad[0]])))
-        deep = order + self.k_max
-        for i in np.flatnonzero(~regular):
-            t = float(ts[i])
-            try:
-                unit = leading_unit_jets(
-                    derivative_jets(self.curve.jets(t, deep + 1)), order
-                )
-                if unit is None:
-                    raise TangentUndeterminedError(
-                        f"tangent line undetermined at t={t}: all velocity "
-                        f"jets vanish up to order {deep}"
-                    )
-            except MathPreconditionError as exc:
-                failures.append((i, exc))
-                break
-            coeffs[:, :, i] = [j.coeffs for j in unit]
+            def undetermined(t, lead):
+                return TangentUndeterminedError(
+                    f"tangent line undetermined at t={t}: " + (
+                        f"all velocity jets vanish up to order {deep}"
+                        if lead > deep else f"velocity jets evaluated to "
+                        f"order {deep} lead at order {lead}, too deep for "
+                        f"a tangent jet of order {order}"))
+
+            vel = derivative_jets(self.curve.jets(ts[slow], deep + 1))
+            unit, failure = leading_unit_jets(vel, order, undetermined)
+            coeffs[:, :, slow] = [j.coeffs for j in unit]
+            if failure is not None:
+                failures.append((slow[failure[0]], failure[1]))
         if refs is not None:
-            raw = np.ascontiguousarray(coeffs[:, 0, :].T)
-            flip = [np.dot(r, ref) < 0.0 for r, ref in zip(raw, refs)]
+            flip = np.einsum("ij,ij->i", coeffs[:, 0, :].T, refs) < 0.0
             coeffs[:, :, flip] = -coeffs[:, :, flip]
-        return [Jet(ts, c) for c in coeffs], _first(failures)
+        return [Jet(ts, c) for c in coeffs]
 
     def tau_jet_vec(self, t, order: int) -> list:
         """Jets of the unit tangent representative, to the given order:
         about a parameter value or about each of an array of them."""
-        ts, _ = self._nodes(t, None)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
         vel = derivative_jets(self.curve.jets(ts, order + 1))
-        tau, failure = self._tau(ts, order, None, vel)
-        if failure is not None:
-            raise failure[1]
+        failures = []
+        tau = self._tau(ts, order, None, vel, failures)
+        _raise_first(failures, ts)
         return tau if np.ndim(t) else [j[0] for j in tau]
 
     def at(self, t, ref=None) -> TangentData:
         """All derivative data at t from one order-3 evaluation of the
-        curve's jets (plus the deeper one at a singular-speed node).
+        curve's jets (plus one deeper one over the singular-speed nodes).
 
         For an array t, ``ref`` is None or one sign reference per node,
         and the record carries the node axis.
         """
-        ts, refs = self._nodes(t, ref)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        n, dim = len(ts), self.curve.dim
+        refs = None if ref is None else np.reshape(ref, (n, dim))
         jets = self.curve.jets(ts, 3)
         vel = derivative_jets(jets)
-        tau, failure = self._tau(ts, 2, refs, vel)
-        failures = [] if failure is None else [failure]
+        failures = []
+        tau = self._tau(ts, 2, refs, vel, failures)
         tau_p = derivative_jets(tau)
-        n, dim = len(ts), len(vel)
         kappa = np.zeros(n)
-        mu = np.full((n, dim), np.nan)
-        mu_p = np.full((n, dim), np.nan)
+        mu, mu_p = np.full((2, n, dim), np.nan)
         # where tau' = 0 exactly, kappa stays 0 and mu is undefined
         defined = np.abs(_values(tau_p)).max(axis=1) != 0.0
-        if defined.any():
-            unit, norm, finite = _normalize_jet_vector(_subset(tau_p, defined))
-            kappa[defined] = norm.value
-            mu[defined] = _values(unit)
-            mu_p[defined] = _values(derivative_jets(unit))
-            bad = np.flatnonzero(defined)[~finite]
-            if bad.size:
-                failures.append((bad[0], _overflow_error(ts[bad[0]])))
-        failure = _first(failures)
-        if failure is not None:
-            raise failure[1]
+        unit, norm, finite = _normalize_jet_vector(_subset(tau_p, defined))
+        kappa[defined] = norm.value
+        mu[defined] = _values(unit)
+        mu_p[defined] = _values(derivative_jets(unit))
+        failures += [(i, None) for i in np.flatnonzero(defined)[~finite]]
+        _raise_first(failures, ts)
         data = TangentData(ts, _values(jets), _values(vel),
                            _values(derivative_jets(vel)),
                            _values(tau), _values(tau_p), kappa, mu, mu_p)
@@ -380,12 +379,10 @@ def unit_tangent(curve: Curve, grid, k_max: int = DEFAULT_K_MAX) -> TangentField
     grid = np.asarray(grid, dtype=float)
     ev = TangentEvaluator(curve, k_max=k_max)
     raw = _values(ev.tau_jet_vec(grid, 0))
-    flips = [i for i in range(1, len(grid))
-             if float(np.dot(raw[i], raw[i - 1])) < 0.0]
-    step = np.ones(len(grid))
-    step[flips] = -1.0
-    taus = np.cumprod(step)[:, None] * raw
-    return TangentField(curve=curve, grid=grid, tau=taus,
+    flip = np.einsum("ij,ij->i", raw[1:], raw[:-1]) < 0.0
+    sign = np.cumprod(np.concatenate([[1.0], np.where(flip, -1.0, 1.0)]))
+    flips = (np.flatnonzero(flip) + 1).tolist()
+    return TangentField(curve=curve, grid=grid, tau=sign[:, None] * raw,
                         sign_flips=tuple(flips))
 
 

@@ -405,6 +405,27 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, value, decimal", [
+        (["surface", "--curve", "helix", "--kind", "tan", "--export", "csv",
+          "--t-steps", "5", "--s-steps", "3", "--s-range"], ["-1e-3", "1e-3"],
+         ["-0.001", "0.001"]),
+        (["verify", "--curve", "helix", "--check", "theorem22", "--t-steps",
+          "41", "--s-steps", "3", "--u"], ["-1e-3"], ["-0.001"]),
+        (["frontality", "--curve", "cusp", "--t-steps", "5", "--t0"],
+         ["-1e-3"], ["-0.001"]),
+        (["frontality", "--curve", "cusp", "--t-steps", "5", "--t0"],
+         ["-5E-1"], ["-.5"]),
+    ], ids=["s-range", "u", "t0", "t0-upper"])
+    def test_negative_exponent_form_argument(self, argv, value, decimal):
+        # argparse's own pattern takes only the -1 and -.5 forms for
+        # negative numbers and -1e-3 for an option string
+        result = run_cli(argv + value)
+        assert result[0] == 0, result[2]
+        assert result == run_cli(argv + decimal)
+        option = argv[-1]
+        if len(value) == 1:
+            assert result == run_cli(argv[:-1] + [f"{option}={value[0]}"])
+
     @pytest.mark.parametrize("argv", [
         ["invariants", "--t-steps", "100000000"],
         ["verify", "--check", "structure", "--t-steps", "100000000"],
@@ -510,6 +531,24 @@ class TestOverflowInputs:
         assert rc == 2
         assert err.strip().endswith("tangent line undetermined at t=0.0: "
                                     "all velocity jets vanish up to order 8")
+
+    def test_leading_velocity_too_deep_is_undetermined(self, tmp_path):
+        # the middle step's midpoint is t = 0 (up to rounding), where the
+        # leading velocity coefficient, of t^9, leaves fewer than the 3
+        # coefficients order-2 tangent jets need within the 10 evaluated
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "name = deep\ndim = 3\ncomponents = [t^10, t^11, t^12]\n"
+            "domain = [-1, 1]\n",
+            encoding="utf-8",
+        )
+        rc, out, err = run_cli(["verify", "--config", str(cfg), "--check",
+                                "symplectic", "--t-steps", "4"])
+        assert rc == 2 and out == ""
+        assert err.startswith("precondition violated: tangent line "
+                              "undetermined at t=-5.551115123125783e-17: ")
+        assert err.endswith("velocity jets evaluated to order 10 lead at "
+                            "order 9, too deep for a tangent jet of order 2\n")
 
     @pytest.mark.parametrize("components, domain, command, message", [
         # a rational power whose value overflows at t = 2
@@ -702,6 +741,18 @@ class TestJetCallsPerCommand:
             "frontality", "--curve", "helix", "--t-steps", steps])
             for steps in ("41", "401")]
         assert counts[0] == counts[1]
+
+    def test_singular_speed_nodes(self, monkeypatch, tmp_path):
+        # every node's speed is below SINGULAR_SPEED, so every node takes
+        # the deeper evaluation of the leading velocity jet
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("name = slow\ndim = 3\n"
+                       "components = [1e-7*t, 1e-7*t^2, 1e-7*t^3]\n"
+                       "domain = [0.1, 1]\n", encoding="utf-8")
+        counts = [self.count_jet_calls(monkeypatch, [
+            "invariants", "--config", str(cfg), "--t-steps", steps])
+            for steps in ("41", "401")]
+        assert counts[0] == counts[1] == 4
 
     def test_structure_check(self, monkeypatch, tmp_path):
         # the check refines its grid to a spacing of 1e-3, so only a

@@ -53,6 +53,27 @@ class TestCorpus:
         assert all(c == 0.0 for c in jets[1].coeffs)
         assert jets[2].coeffs.tolist() == [0.0, 0.0, -1.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("steps", [1, 2, 41, 401])
+    def test_flat_curve_jets_in_one_call(self, monkeypatch, steps):
+        # the jet callable takes the whole grid, and node i of its jets is
+        # bit for bit the jet about t_i alone
+        curve = get_curve("example21")
+        jets_fn, calls = curve._jets_fn, []
+
+        def counting(ts, order):
+            calls.append(len(ts))
+            return jets_fn(ts, order)
+
+        monkeypatch.setattr(curve, "_jets_fn", counting)
+        grid = np.linspace(-1.0, 1.0, steps)
+        jets = curve.jets(grid, 5)
+        assert calls == [steps]
+        for i, t in enumerate(grid.tolist()):
+            alone = curve.jets(t, 5)
+            assert [j.coeffs[:, i].tobytes() for j in jets] == [
+                j.coeffs.tobytes() for j in alone]
+        assert calls == [steps] + [1] * steps
+
 
 class TestConfig:
     def test_parse_matches_builtin_curve(self):

@@ -4,7 +4,11 @@ import pytest
 from conftest import assert_close_upto_sign, gauss_rank
 from frontals.corpus import CORPUS_IDS, get_curve, get_entry
 from frontals.curves import ExprCurve
-from frontals.errors import InflectionError, TangentUndeterminedError
+from frontals.errors import (
+    InflectionError,
+    MathPreconditionError,
+    TangentUndeterminedError,
+)
 from frontals.frontal import (
     TangentEvaluator,
     contact_orders,
@@ -267,6 +271,9 @@ class TestBatchedTangentData:
     CURVES = [(cid, get_curve(cid)) for cid in CORPUS_IDS] + [
         ("cusp23", curve_2d("cusp23", ("t^2", "t^3"))),
         ("cubic", curve_2d("cubic", ("t", "t^3"))),
+        # every node's speed is below SINGULAR_SPEED
+        ("slow", ExprCurve.from_sources(
+            "slow", ("1e-7*t", "1e-7*t^2", "1e-7*t^3"), (0.1, 1.0))),
     ]
 
     @pytest.mark.parametrize("cid,curve", CURVES, ids=[c for c, _ in CURVES])
@@ -312,6 +319,11 @@ class TestErrorParity:
                          np.linspace(-1.0, 2.0, 13), 0.0, 1.0),
         "overflow": (("t", "t^2", "t^400"), (-10.0, 10.0),
                      np.linspace(0.0, 10.0, 9), 2.5, 10.0),
+        # two singular-speed nodes: at t = 0 the leading velocity
+        # coefficient (order 9) is too deep for the 10 orders evaluated,
+        # at t = 1 the velocity jets overflow
+        "singular": (("t^10*(t-1)^12", "t^12*(1e308*(t-1)^3)"), (0.0, 1.0),
+                     np.linspace(0.0, 1.0, 3), 0.0, 1.0),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -339,6 +351,18 @@ class TestErrorParity:
         assert per_node == (InflectionError, "inflection point in range: "
                             f"|tau'| = 0 at t={1.0 if reverse else 0.0}")
         assert _first_error([lambda: ev.at(grid).normal()]) == per_node
+
+    def test_singular_failures_differ(self):
+        curve = ExprCurve.from_sources(
+            "singular", self.CASES["singular"][0], (0.0, 1.0))
+        ev = TangentEvaluator(curve)
+        with pytest.raises(TangentUndeterminedError, match=(
+                r"at t=0.0: velocity jets evaluated to order 10 lead at "
+                r"order 9, too deep for a tangent jet of order 2$")):
+            ev.at(0.0)
+        with pytest.raises(MathPreconditionError,
+                           match=r"^jets at t=1.0 overflow"):
+            ev.at(1.0)
 
     def test_unit_tangent_names_first_undetermined_node(self):
         curve = curve_2d("flat", ("t^14", "t^15"))

@@ -104,3 +104,22 @@ def test_one_rank_rule():
             == {"tol", "smax"}
         ]
     assert len(thresholds) == 1 and thresholds[0].startswith("linalg.py:")
+
+
+def test_no_per_node_jet_calls():
+    # the tangent and frame modules take curve jets over whole grids: no
+    # .jets( call sits in a loop or a comprehension there
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    offenders = []
+    for name in ("frontal.py", "frames.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        offenders += [
+            f"{name}:{node.lineno}"
+            for loop in ast.walk(tree) if isinstance(loop, loops)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "jets"
+        ]
+    assert offenders == []
