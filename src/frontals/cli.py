@@ -416,13 +416,14 @@ def cmd_bishop(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 1, the code of every
     other configuration error, instead of argparse's 2, and which reads a
-    negative number in exponent form (``-1e-3``) as a value: argparse's
-    own pattern (Python 3.10-3.13) matches only ``-1`` and ``-.5`` forms."""
+    negative number in exponent form (``-1e-3``) or a negative non-finite
+    one (``-inf``, ``-nan``) as a value: argparse's own pattern (Python
+    3.10-3.13) matches only ``-1`` and ``-.5`` forms."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.I)
 
     def error(self, message):
         self.print_usage(sys.stderr)

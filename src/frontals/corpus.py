@@ -62,17 +62,20 @@ class CorpusEntry:
 
 
 def _flat_point(t: float) -> np.ndarray:
+    flat = math.exp(-1.0 / (t * t)) if t * t else 0.0
     if t > 0:
-        return np.array([math.exp(-1.0 / (t * t)), 0.0, -t * t])
+        return np.array([flat, 0.0, -t * t])
     if t < 0:
-        return np.array([0.0, math.exp(-1.0 / (t * t)), -t * t])
+        return np.array([0.0, flat, -t * t])
     return np.zeros(3)
 
 
+@np.errstate(divide="ignore")
 def _flat_jets(ts: np.ndarray, order: int) -> list:
     u = variable(ts, order)
     w = constant(0.0, ts, order)
-    off = ts != 0.0
+    # where exp(-1/t^2) is 0.0 in double precision, so is every derivative
+    off = np.exp(-1.0 / (ts * ts)) != 0.0
     v = variable(ts[off], order)
     w.coeffs[:, off] = jet_elem(
         "exp", -jet_div(constant(1.0, ts[off], order), v * v)).coeffs

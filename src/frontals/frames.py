@@ -15,9 +15,9 @@ Both are the linear system ``y' = y M`` with ``M = -b a^T``, where
 (a, b) is (tau, tau') or (mu, mu'), integrated by classical fourth-order
 Runge-Kutta on the supplied grid.
 
-A grid is evaluated once: :func:`grid_record` takes the sign chain of
-:func:`unit_tangent` and one :meth:`TangentEvaluator.at` call over the
-grid nodes and the step midpoints, and the :class:`GridRecord` it returns
+A grid is evaluated once: :func:`grid_record` makes one
+:meth:`TangentEvaluator.at` call over the grid nodes and the step
+midpoints and chains their signs, and the :class:`GridRecord` it returns
 is read by everything built on that grid: both transports (forward or
 reverse), the adapted frame, the invariants, the structure residuals
 and the surfaces. Batched matrix products turn its node and midpoint
@@ -47,12 +47,16 @@ from .errors import GridTooCoarseError, InflectionError, MathPreconditionError
 from .frontal import (
     TangentData,
     TangentEvaluator,
+    chain_signs,
     derivative_jets,
     leading_unit_jets,
     unit_tangent,
 )
 from .jets import Jet, jet_mul
 from .linalg import orthonormal_completion
+
+# stays bound in this module, where the benchmark harness's tests look it up
+unit_tangent = unit_tangent
 
 _SEED_ORTHO_TOL = 1e-10
 _DRIFT_LIMIT = 1e-3
@@ -86,9 +90,9 @@ def _step_matrices(h, m0, mm, m1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridRecord:
-    """Tangent data of a grid, evaluated once for everything built on it:
-    the rows of the grid nodes and of the midpoint ``t_n + h_n/2`` of
-    every RK4 step between them."""
+    """Tangent data of a grid from one evaluation, read by everything
+    built on it: the rows of the grid nodes and of the midpoint
+    ``t_n + h_n/2`` of every RK4 step between them."""
 
     curve: Curve
     grid: np.ndarray
@@ -97,14 +101,16 @@ class GridRecord:
 
 
 def grid_record(curve: Curve, grid) -> GridRecord:
-    """The grid's record from one :func:`unit_tangent` sign chain and one
-    :meth:`TangentEvaluator.at` call over the nodes and step midpoints."""
+    """The grid's record from one :meth:`TangentEvaluator.at` call over
+    the nodes and step midpoints, its node signs chained as by
+    :func:`unit_tangent` and each midpoint aligned with its step's start."""
     grid = np.asarray(grid, dtype=float)
-    taus = unit_tangent(curve, grid).tau
     points = np.empty(2 * len(grid) - 1)
     points[0::2] = grid
     points[1::2] = grid[:-1] + 0.5 * np.diff(grid)
-    data = TangentEvaluator(curve).at(points, np.repeat(taus, 2, axis=0)[:-1])
+    data = TangentEvaluator(curve).at(points)
+    refs = np.repeat(chain_signs(data.tau[0::2])[0], 2, axis=0)[:-1]
+    data = data.aligned(refs)
     return GridRecord(curve, grid, data[0::2], data[1::2])
 
 
@@ -144,7 +150,7 @@ class ParallelFields:
         points = np.stack([t0[off], t0[off] + 0.5 * h[off],
                            t0[off] + h[off]], axis=1).ravel()
         refs = np.repeat(self.record.nodes.tau[nearest[off]], 3, axis=0)
-        data = TangentEvaluator(self.curve).at(points, refs)
+        data = TangentEvaluator(self.curve).at(points).aligned(refs)
         m = _connection(self.mode, data)[0]
         out = self.vectors[:, nearest, :]
         steps = _step_matrices(h[off], m[0::3], m[1::3], m[2::3])

@@ -20,7 +20,7 @@ over the nodes would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,6 +163,14 @@ class TangentData:
             self.mu_p[i] if defined else None,
         )
 
+    def aligned(self, refs) -> "TangentData":
+        """The record with tau, tau', mu and mu' negated at each node
+        where ``tau . ref < 0``; ``refs`` has the shape of ``tau``."""
+        flip = np.einsum("...j,...j->...", self.tau, refs) < 0.0
+        sign = np.where(flip, -1.0, 1.0)[..., None]
+        return replace(self, **{k: sign * getattr(self, k) for k in (
+            "tau", "tau_p", "mu", "mu_p") if getattr(self, k) is not None})
+
     def normal(self):
         """(mu, mu') at t; InflectionError where tau' vanishes (at the
         first such node of an array record)."""
@@ -201,16 +209,15 @@ class TangentEvaluator:
     """Jets of a curve's unit tangent line field at parameter values.
 
     The representative returned at each query is normalized from the
-    leading jet coefficient of the velocity; pass ``ref`` to align its
-    sign with a neighbouring sample.
-    """
+    leading jet coefficient of the velocity; :meth:`TangentData.aligned`
+    aligns its sign with neighbouring samples."""
 
     def __init__(self, curve: Curve, k_max: int = DEFAULT_K_MAX):
         self.curve = curve
         self.k_max = k_max
 
     @np.errstate(all="ignore")
-    def _tau(self, ts: np.ndarray, order: int, refs, vel: list,
+    def _tau(self, ts: np.ndarray, order: int, vel: list,
              failures: list) -> list:
         """Unit tangent grid jets at the nodes ``ts`` from the velocity
         grid jets ``vel`` of the given order; node failures are appended
@@ -237,9 +244,6 @@ class TangentEvaluator:
             coeffs[:, :, slow] = [j.coeffs for j in unit]
             if failure is not None:
                 failures.append((slow[failure[0]], failure[1]))
-        if refs is not None:
-            flip = np.einsum("ij,ij->i", coeffs[:, 0, :].T, refs) < 0.0
-            coeffs[:, :, flip] = -coeffs[:, :, flip]
         return [Jet(ts, c) for c in coeffs]
 
     def tau_jet_vec(self, t, order: int) -> list:
@@ -248,24 +252,20 @@ class TangentEvaluator:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         vel = derivative_jets(self.curve.jets(ts, order + 1))
         failures = []
-        tau = self._tau(ts, order, None, vel, failures)
+        tau = self._tau(ts, order, vel, failures)
         _raise_first(failures, ts)
         return tau if np.ndim(t) else [j[0] for j in tau]
 
-    def at(self, t, ref=None) -> TangentData:
+    def at(self, t) -> TangentData:
         """All derivative data at t from one order-3 evaluation of the
-        curve's jets (plus one deeper one over the singular-speed nodes).
-
-        For an array t, ``ref`` is None or one sign reference per node,
-        and the record carries the node axis.
-        """
+        curve's jets (plus one deeper one over the singular-speed nodes);
+        for an array t, the record carries the node axis."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         n, dim = len(ts), self.curve.dim
-        refs = None if ref is None else np.reshape(ref, (n, dim))
         jets = self.curve.jets(ts, 3)
         vel = derivative_jets(jets)
         failures = []
-        tau = self._tau(ts, 2, refs, vel, failures)
+        tau = self._tau(ts, 2, vel, failures)
         tau_p = derivative_jets(tau)
         kappa = np.zeros(n)
         mu, mu_p = np.full((2, n, dim), np.nan)
@@ -372,18 +372,23 @@ class TangentField:
     sign_flips: tuple
 
 
+def chain_signs(raw: np.ndarray):
+    """Chain the signs of sampled representatives (N, dim) from the
+    first: a row is negated relative to its predecessor where their raw
+    inner product is negative. Returns (chained rows, those row indices)."""
+    flip = np.einsum("ij,ij->i", raw[1:], raw[:-1]) < 0.0
+    sign = np.cumprod(np.concatenate([[1.0], np.where(flip, -1.0, 1.0)]))
+    return sign[:, None] * raw, tuple((np.flatnonzero(flip) + 1).tolist())
+
+
 def unit_tangent(curve: Curve, grid, k_max: int = DEFAULT_K_MAX) -> TangentField:
     """Sample the unit tangent, chaining signs from the leftmost point:
     the leading jet coefficient there, then consecutive samples with
     positive inner product."""
     grid = np.asarray(grid, dtype=float)
-    ev = TangentEvaluator(curve, k_max=k_max)
-    raw = _values(ev.tau_jet_vec(grid, 0))
-    flip = np.einsum("ij,ij->i", raw[1:], raw[:-1]) < 0.0
-    sign = np.cumprod(np.concatenate([[1.0], np.where(flip, -1.0, 1.0)]))
-    flips = (np.flatnonzero(flip) + 1).tolist()
-    return TangentField(curve=curve, grid=grid, tau=sign[:, None] * raw,
-                        sign_flips=tuple(flips))
+    raw = _values(TangentEvaluator(curve, k_max=k_max).tau_jet_vec(grid, 0))
+    tau, flips = chain_signs(raw)
+    return TangentField(curve=curve, grid=grid, tau=tau, sign_flips=flips)
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,18 @@ class TestFrontalityCommand:
         assert rc == 2
         assert "sign flips near t = 0" in out
 
+    @pytest.mark.parametrize("t0", ["1e-170", "-1e-170", "1e-120"])
+    def test_flat_curve_below_underflow(self, t0):
+        # exp(-1/t^2) and all its derivatives are 0.0 in double precision
+        # here, as at t = 1e-20; 1/t^2 underflows or overflows on the way
+        argv = ["frontality", "--curve", "example21", "--t-steps", "5"]
+        rc, out, err = run_cli(argv + ["--t0", t0])
+        reference = run_cli(argv + ["--t0", "1e-20"])
+        assert (rc, err) == (2, "")
+        assert out.split(" ", 1)[1] == reference[1].split(" ", 1)[1]
+        assert out.startswith(f"t0={float(t0)} ranks=0,1,1,1,1,1,1,1 a1=2 "
+                              "a2=None ")
+
 
 class TestBishopCommand:
     def test_circle_fields_orthonormal(self):
@@ -399,6 +411,9 @@ class TestExitCodes:
         ["verify", "--check", "symplectic", "--tol", "nan"],
         ["frontality", "--tol", "nan"],
         ["frontality", "--tol", "0"],
+        ["frontality", "--t0", "-inf"],
+        ["surface", "--kind", "tan", "--s-range", "-inf", "1"],
+        ["surface", "--kind", "pal", "--u", "-nan"],
     ], ids=lambda a: "-".join(a[-2:]))
     def test_out_of_range_option(self, argv):
         rc, out, err = run_cli(argv + ["--curve", "helix"])
@@ -517,10 +532,10 @@ class TestOverflowInputs:
         else:
             assert "precondition violated" in err
 
-    def test_undetermined_tangent_named_as_before(self, tmp_path):
-        # the first node is curved, so the straightness scan stops there
-        # and the undetermined tangent at t = 0 is reported by the frame's
-        # order-0 unit tangent, not by the order-2 tangent data
+    def test_undetermined_tangent_named_by_grid_record(self, tmp_path):
+        # the undetermined tangent at t = 0 is reported by the grid
+        # record's order-2 tangent data, whose singular-speed nodes are
+        # evaluated to order 2 + k_max
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
             "name = flat\ndim = 3\ncomponents = [t^14, t^15, t^16]\n"
@@ -530,7 +545,7 @@ class TestOverflowInputs:
         rc, _, err = run_cli(["invariants", "--config", str(cfg)])
         assert rc == 2
         assert err.strip().endswith("tangent line undetermined at t=0.0: "
-                                    "all velocity jets vanish up to order 8")
+                                    "all velocity jets vanish up to order 10")
 
     def test_leading_velocity_too_deep_is_undetermined(self, tmp_path):
         # the middle step's midpoint is t = 0 (up to rounding), where the
@@ -554,11 +569,11 @@ class TestOverflowInputs:
         # a rational power whose value overflows at t = 2
         ("[t, (1+t^2)^(1001/2), t^2]", "[0, 2]", "invariants",
          "power overflow in jet composition in '(1.0 + t^2)^(1001/2)'"),
-        # the deep velocity jets of the singular-speed node t = 0 overflow
+        # the order-2 tangent jets of the first node overflow
         ("[t^2, 1e308*t^3, t^4]", "[-1e-110, 1e-110]", "invariants",
-         "jets at t=0.0 overflow double precision"),
+         "jets at t=-1e-110 overflow double precision"),
         ("[t^2, 1e308*t^3, t^4]", "[-1e-110, 1e-110]", "bishop",
-         "jets at t=0.0 overflow double precision"),
+         "jets at t=-1e-110 overflow double precision"),
     ], ids=["rational-power", "singular-speed", "singular-speed-bishop"])
     def test_overflow_mid_run_is_a_precondition(self, tmp_path, components,
                                                 domain, command, message):
@@ -721,14 +736,15 @@ class TestJetCallsPerCommand:
         assert rc == 0, err
         return len(calls)
 
-    # one order-1 sign chain and one order-3 evaluation per grid record,
-    # also on a straight line, where no adapted frame exists
+    # one order-3 evaluation per grid record, whose node rows also give
+    # the sign chain, also on a straight line, where no adapted frame
+    # exists
     @pytest.mark.parametrize("argv", [
         ["invariants", "--curve", "line"],
         ["verify", "--curve", "helix", "--check", "structure"],
     ], ids="-".join)
     def test_jets_per_grid_record(self, monkeypatch, argv):
-        assert self.count_jet_calls(monkeypatch, argv) == 2
+        assert self.count_jet_calls(monkeypatch, argv) == 1
 
     def test_invariants(self, monkeypatch):
         counts = [self.count_jet_calls(monkeypatch, [
@@ -744,7 +760,8 @@ class TestJetCallsPerCommand:
 
     def test_singular_speed_nodes(self, monkeypatch, tmp_path):
         # every node's speed is below SINGULAR_SPEED, so every node takes
-        # the deeper evaluation of the leading velocity jet
+        # the deeper evaluation of the leading velocity jet: one whole-grid
+        # call and one deeper call in the grid record
         cfg = tmp_path / "slow.cfg"
         cfg.write_text("name = slow\ndim = 3\n"
                        "components = [1e-7*t, 1e-7*t^2, 1e-7*t^3]\n"
@@ -752,7 +769,7 @@ class TestJetCallsPerCommand:
         counts = [self.count_jet_calls(monkeypatch, [
             "invariants", "--config", str(cfg), "--t-steps", steps])
             for steps in ("41", "401")]
-        assert counts[0] == counts[1] == 4
+        assert counts[0] == counts[1] == 2
 
     def test_structure_check(self, monkeypatch, tmp_path):
         # the check refines its grid to a spacing of 1e-3, so only a
@@ -781,10 +798,10 @@ class TestJetCallsPerCommand:
         calls = []
         original = TangentEvaluator.at
 
-        def counting(self, t, ref=None):
+        def counting(self, t):
             if np.ndim(t):
                 calls.append(np.size(t))
-            return original(self, t, ref)
+            return original(self, t)
 
         monkeypatch.setattr(TangentEvaluator, "at", counting)
         rc, _, err = run_cli(argv)

@@ -74,6 +74,19 @@ class TestCorpus:
                 j.coeffs.tobytes() for j in alone]
         assert calls == [steps] + [1] * steps
 
+    def test_flat_curve_below_underflow(self):
+        # exp(-1/t^2) is 0.0 in double precision from |t| ~ 0.0366 down;
+        # its jets are then exactly zero, as at t = 0, also where 1/t^2
+        # overflows (1e-170) or its jet recurrence would (1e-120)
+        curve = get_curve("example21")
+        grid = np.array([-1e-170, 0.0, 1e-170, 1e-120, 0.03])
+        jets = curve.jets(grid, 8)
+        for j in jets[:2]:
+            assert (j.coeffs == 0.0).all()
+        assert np.array_equal(jets[2].value, -(grid * grid))
+        for t in grid.tolist():
+            assert np.array_equal(curve.point(t), [0.0, 0.0, -t * t])
+
 
 class TestConfig:
     def test_parse_matches_builtin_curve(self):

@@ -204,7 +204,7 @@ class TestTangentData:
                      (curve_2d("cusp23", ("t^2", "t^3")), 0.0)):
             ev = TangentEvaluator(c)
             d = ev.at(t)
-            flipped = ev.at(t, ref=-d.tau)
+            flipped = d.aligned(-d.tau)
             for name in ("tau", "tau_p", "mu", "mu_p"):
                 assert np.array_equal(getattr(flipped, name),
                                       -getattr(d, name)), name
@@ -280,16 +280,43 @@ class TestBatchedTangentData:
     def test_matches_per_node_bit_for_bit(self, cid, curve):
         # 41-node grids hit t = 0: the singular node of cusp, cusp23 and
         # example21 (a CallableCurve) and the exact tau' = 0 of cubic and
-        # example23; ref = -tau flips every representative
+        # example23; aligning with -tau flips every representative
         grid = curve.grid(41)
         ev = TangentEvaluator(curve)
         taus = unit_tangent(curve, grid).tau
         for refs in (None, taus, -taus):
-            batch = ev.at(grid, refs)
+            batch = ev.at(grid)
+            if refs is not None:
+                batch = batch.aligned(refs)
             assert batch.t.tobytes() == grid.tobytes()
             for i, t in enumerate(grid):
-                single = ev.at(t, None if refs is None else refs[i])
+                single = ev.at(t)
+                if refs is not None:
+                    single = single.aligned(refs[i])
                 assert _record_bytes(batch[i]) == _record_bytes(single)
+
+    @pytest.mark.parametrize("cid,curve", CURVES, ids=[c for c, _ in CURVES])
+    def test_grid_record_is_one_evaluation(self, monkeypatch, cid, curve):
+        # the record's own node rows give the sign chain of unit_tangent
+        grid = curve.grid(41)
+        expected = unit_tangent(curve, grid).tau
+        calls = []
+        original = TangentEvaluator.at
+
+        def counting(self, t):
+            calls.append(np.size(t))
+            return original(self, t)
+
+        def forbidden(*args):
+            raise AssertionError("a second pass over the grid")
+
+        monkeypatch.setattr(TangentEvaluator, "at", counting)
+        monkeypatch.setattr(TangentEvaluator, "tau_jet_vec", forbidden)
+        record = grid_record(curve, grid)
+        assert calls == [2 * len(grid) - 1]
+        assert record.nodes.tau.tobytes() == expected.tobytes()
+        starts = np.einsum("ij,ij->i", record.mids.tau, record.nodes.tau[:-1])
+        assert (starts >= 0.0).all()
 
     def test_record_rows_mark_undefined_normals(self):
         ev = TangentEvaluator(curve_2d("cubic", ("t", "t^3")))

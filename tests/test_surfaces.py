@@ -249,7 +249,7 @@ class TestSingularLocus:
 
         def indicator(i, s):
             t = t_grid[i]
-            d = ev.at(t, frame.tau[i])
+            d = ev.at(t).aligned(frame.tau[i])
             tau, tau_p = d.tau, d.tau_p
             mu, mu_p = d.normal()
             nu = frame.nus[0, i]
@@ -514,7 +514,7 @@ class TestTangentPlaneGeometry:
         ev = TangentEvaluator(entry.curve)
         for i in (3, 10, 17):
             ti = t[i]
-            d = ev.at(ti, frame_t.tau[i])
+            d = ev.at(ti).aligned(frame_t.tau[i])
             tau, tau_p = d.tau, d.tau_p
             fp = d.fprime
 
@@ -537,7 +537,7 @@ class TestTangentPlaneGeometry:
         s_adj = s[np.argsort(np.abs(s))[1]]  # smallest nonzero offset
         for i in (0, 7, 14, 20):
             ti = t[i]
-            d = ev.at(ti, tf.tau[i])
+            d = ev.at(ti).aligned(tf.tau[i])
             tau, tau_p = d.tau, d.tau_p
             jac = np.stack([d.fprime + s_adj * tau_p, tau], axis=1)
             q = orthonormal_column_basis(jac)
