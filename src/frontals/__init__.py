@@ -36,7 +36,6 @@ from .frames import (
     bishop_invariants,
     bishop_transport,
     grid_record,
-    inflection_points,
     invariants,
     structure_residuals_adapted,
     structure_residuals_bishop,
@@ -48,7 +47,6 @@ from .frontal import (
     TangentField,
     WronskianReport,
     contact_orders,
-    properness_scan,
     unit_tangent,
     wronskian_matrix,
     wronskian_rank,

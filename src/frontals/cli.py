@@ -36,6 +36,7 @@ from .frames import (
     invariants,
     structure_residuals_adapted,
     structure_residuals_bishop,
+    zero_kappa,
 )
 from .frontal import contact_orders, unit_tangent
 from .linalg import orthonormal_completion
@@ -55,9 +56,6 @@ from .surfaces import (
 SURFACE_KINDS = ("tan", "nor", "pal", "can", "directrix-tan")
 
 _STRUCTURE_SPACING = 1e-3
-
-#: |tau'| below which every node counts as lying on a straight segment
-_STRAIGHT_KAPPA = 1e-12
 
 #: most nodes one sampled grid may have
 _MAX_GRID_NODES = 500_000
@@ -164,9 +162,9 @@ class _CurveContext:
 
 def _frame_unless_straight(ctx, record):
     """The adapted frame on the record's grid, or None when |tau'| is
-    below ``_STRAIGHT_KAPPA`` on every node: such a curve has no adapted
-    frame, and any constant normal frame is parallel along it."""
-    if (record.nodes.kappa < _STRAIGHT_KAPPA).all():
+    zero to rounding (:func:`zero_kappa`) on every node: such a curve has
+    no adapted frame, and any constant normal frame is parallel along it."""
+    if zero_kappa(record.nodes).all():
         return None
     return ctx.frame(record)
 

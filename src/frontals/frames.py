@@ -60,7 +60,6 @@ unit_tangent = unit_tangent
 
 _SEED_ORTHO_TOL = 1e-10
 _DRIFT_LIMIT = 1e-3
-DEFAULT_INFLECTION_REL_TOL = 1e-6
 
 
 def _connection(mode: str, d: TangentData):
@@ -268,25 +267,39 @@ class AdaptedFrame:
             np.stack([self.tau, self.mu, *self.nus], axis=1)).max())
 
 
-def adapted_frame(record: GridRecord, nu0=None,
-                  inflection_rel_tol: float = DEFAULT_INFLECTION_REL_TOL
-                  ) -> AdaptedFrame:
+def zero_kappa(nodes: TangentData) -> np.ndarray:
+    """Whether kappa = |tau'| is zero to rounding at each node of an
+    array record: ``kappa <= 16 eps |s'|/s`` (``nodes.speed_rate``).
+
+    With the speed s = |f'|, |s'|/s = |f'' . tau|/|f'| sets the rounding
+    level of tau' = (f'' - (f'' . tau) tau)/|f'|. At a singular-speed
+    node s is the norm of the velocity with its leading power divided
+    out, which tau is the direction of; the level is 0 where that
+    velocity's next coefficient is orthogonal to tau, as at a cusp. The
+    bound scales like kappa under ``t -> c t`` and does not move under
+    spatial scaling; a constant-speed curve has level 0.
+    """
+    return nodes.kappa <= 16.0 * np.finfo(float).eps * nodes.speed_rate
+
+
+def adapted_frame(record: GridRecord, nu0=None) -> AdaptedFrame:
     """Build the adapted frame {tau, mu, nu_i} along a curve without
     inflection points from its grid record.
 
     tau and mu = tau'/|tau'| are the record's node rows, and the nu_i
     are the surface-normal parallel transport of ``nu0`` (default: a
     canonical Gram-Schmidt completion of the standard basis against
-    {tau, mu} at the first grid point).
+    {tau, mu} at the first grid point). A grid with a node where
+    :func:`zero_kappa` holds raises :class:`InflectionError`.
     """
     curve, grid, nodes = record.curve, record.grid, record.nodes
     mu = nodes.normal()[0]
-    kappa = nodes.kappa
-    if kappa.max() <= 0.0:
+    zero = zero_kappa(nodes)
+    if zero.all():
         raise InflectionError("inflection point in range: straight segment")
-    if kappa.min() < inflection_rel_tol * kappa.max():
-        worst = grid[int(np.argmin(kappa))]
-        raise InflectionError(f"inflection point in range near t={worst}")
+    if zero.any():
+        first = grid[int(np.argmax(zero))]
+        raise InflectionError(f"inflection point in range near t={first}")
 
     n, d = len(grid), curve.dim
     q = curve.codim - 1
@@ -426,91 +439,6 @@ def structure_residuals_bishop(fields: ParallelFields,
 
 
 # ---------------------------------------------------------------------------
-# Inflection points
-
-
-def _bisect(fn, lo, hi, iterations: int = 80) -> float:
-    flo = fn(lo)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if (flo <= 0.0) == (fmid <= 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _ternary_min(fn, lo, hi, iterations: int = 100):
-    for _ in range(iterations):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if fn(m1) <= fn(m2):
-            hi = m2
-        else:
-            lo = m1
-    mid = 0.5 * (lo + hi)
-    return mid, fn(mid)
-
-
-def inflection_points(curve: Curve, grid, tol: float = 1e-7) -> list:
-    """Parameter intervals where the unit tangent's derivative vanishes.
-
-    Grid samples below ``tol`` seed intervals whose endpoints are refined
-    by bisection on |tau'| - tol; interior local minima of |tau'| are
-    additionally probed so a zero falling between samples is still found.
-    """
-    grid = np.asarray(grid, dtype=float)
-    ev = TangentEvaluator(curve)
-
-    def kappa(t):
-        return ev.at(t).kappa
-
-    kappas = ev.at(grid).kappa
-    below = kappas < tol
-    intervals = []
-
-    def edge(i, k):
-        """The crossing of tol between node i, below it, and node k."""
-        if not kappas[k] >= tol:
-            return grid[k]
-        return _bisect(lambda t: kappa(t) - tol, grid[k], grid[i])
-
-    i = 0
-    while i < len(grid):
-        if below[i]:
-            j = i
-            while j + 1 < len(grid) and below[j + 1]:
-                j += 1
-            lo = grid[0] if i == 0 else edge(i, i - 1)
-            hi = grid[-1] if j == len(grid) - 1 else edge(j, j + 1)
-            intervals.append((float(lo), float(hi)))
-            i = j + 1
-        else:
-            i += 1
-
-    # minima hiding between samples
-    for i in range(1, len(grid) - 1):
-        if below[i - 1] or below[i] or below[i + 1]:
-            continue
-        if kappas[i] <= kappas[i - 1] and kappas[i] <= kappas[i + 1]:
-            t_min, k_min = _ternary_min(kappa, grid[i - 1], grid[i + 1])
-            if k_min < tol:
-                lo = _bisect(lambda t: kappa(t) - tol, grid[i - 1], t_min)
-                hi = _bisect(lambda t: kappa(t) - tol, grid[i + 1], t_min)
-                intervals.append((float(lo), float(hi)))
-
-    intervals.sort()
-    merged = []
-    for lo, hi in intervals:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-# ---------------------------------------------------------------------------
 # Unit normal of the tangent surface of a space curve
 
 
@@ -536,7 +464,7 @@ def tangent_surface_unit_normal(curve: Curve, t: float, order: int = 2):
         jet_mul(fp[2], fpp[0]) - jet_mul(fp[0], fpp[2]),
         jet_mul(fp[0], fpp[1]) - jet_mul(fp[1], fpp[0]),
     ]
-    nu_jets, failure = leading_unit_jets(cross, order, lambda t, _: (
+    nu_jets, _, failure = leading_unit_jets(cross, order, lambda t, _: (
         InflectionError(f"tangent-surface normal undetermined at t={t}")))
     if failure is not None:
         raise failure[1]

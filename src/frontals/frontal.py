@@ -39,7 +39,7 @@ from .jets import (
     jet_mul,
     jet_sqrt,
 )
-from .linalg import DEFAULT_RANK_TOL, batched_rank, largest_true_box_2d
+from .linalg import DEFAULT_RANK_TOL, batched_rank
 
 #: velocity norm below which the structural jet extension is used
 SINGULAR_SPEED = 1e-6
@@ -92,10 +92,11 @@ def leading_unit_jets(jets: list, order: int, undetermined):
     """Unit jets, to the given order, of a jet vector with the leading
     power of ``t - base`` divided out at each node (the first coefficient
     vector above ``_COEFF_DROP`` times the largest one becomes the value),
-    and the first failing (node index, error) or None. A node fails where
-    its jets overflow, and with ``undetermined(t, lead)`` where fewer than
-    ``order + 1`` coefficients follow its leading one, of index ``lead``
-    (one past the last where all vanish); its unit jets are zero."""
+    the norm jet of the divided vector, and the first failing (node index,
+    error) or None. A node fails where its jets overflow, and with
+    ``undetermined(t, lead)`` where fewer than ``order + 1`` coefficients
+    follow its leading one, of index ``lead`` (one past the last where all
+    vanish); its unit jets and norm are zero."""
     base = jets[0].base
     nodes = base.reshape(-1)
     coeffs = np.array([j.coeffs.reshape(-1, nodes.size) for j in jets])
@@ -105,12 +106,12 @@ def leading_unit_jets(jets: list, order: int, undetermined):
     lead = np.where(live.any(axis=0), live.argmax(axis=0), len(norms))
     overflow = ~np.isfinite(scale)
     good = ~overflow & (lead < len(norms) - order)
-    unit = np.zeros((len(jets), order + 1, nodes.size))
+    unit = np.zeros((len(jets) + 1, order + 1, nodes.size))  # and the norm
     rows = lead[good] + np.arange(order + 1)[:, None]
     shifted = np.take_along_axis(coeffs[:, :, good], rows[None], axis=1)
-    normalized, _, finite = _normalize_jet_vector(
+    normalized, norm, finite = _normalize_jet_vector(
         [Jet(nodes[good], c) for c in shifted])
-    unit[:, :, good] = [j.coeffs for j in normalized]
+    unit[:, :, good] = [j.coeffs for j in normalized + [norm]]
     overflow[good] = ~finite
     failure = None
     bad = np.flatnonzero(overflow | ~good)
@@ -119,7 +120,8 @@ def leading_unit_jets(jets: list, order: int, undetermined):
         failure = i, (_overflow_error(t) if overflow[i]
                       else undetermined(t, int(lead[i])))
     shape = (order + 1,) + base.shape
-    return [Jet(base, c.reshape(shape)) for c in unit], failure
+    jets = [Jet(base, c.reshape(shape)) for c in unit]
+    return jets[:-1], jets[-1], failure
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,10 @@ class TangentData:
     ``f`` is the curve's point and ``fprime``, ``fsecond`` its first two
     derivatives. ``tau`` is the unit tangent representative and ``tau_p``
     its t-derivative; ``kappa = |tau'|`` and ``mu = tau'/kappa``, with
-    derivative ``mu_p``. Taking kappa nonnegative resolves the
+    derivative ``mu_p``. ``speed_rate`` is |s'|/s for the speed s = |f'|,
+    or at a singular-speed node for the norm s of the velocity with its
+    leading power divided out, whose direction tau is. Taking kappa
+    nonnegative resolves the
     (mu, kappa, ells) -> (-mu, -kappa, -ells) ambiguity throughout the
     package. Where tau' vanishes exactly, ``kappa`` is 0.0 and
     ``mu``/``mu_p`` are None; read them through :meth:`normal`, which
@@ -151,6 +156,7 @@ class TangentData:
     kappa: float
     mu: np.ndarray | None
     mu_p: np.ndarray | None
+    speed_rate: float
 
     def __getitem__(self, i) -> "TangentData":
         if not isinstance(i, (int, np.integer)):
@@ -160,7 +166,7 @@ class TangentData:
             float(self.t[i]), self.f[i], self.fprime[i], self.fsecond[i],
             self.tau[i], self.tau_p[i], float(self.kappa[i]),
             self.mu[i] if defined else None,
-            self.mu_p[i] if defined else None,
+            self.mu_p[i] if defined else None, float(self.speed_rate[i]),
         )
 
     def aligned(self, refs) -> "TangentData":
@@ -217,15 +223,15 @@ class TangentEvaluator:
         self.k_max = k_max
 
     @np.errstate(all="ignore")
-    def _tau(self, ts: np.ndarray, order: int, vel: list,
-             failures: list) -> list:
+    def _tau(self, ts: np.ndarray, order: int, vel: list, failures: list):
         """Unit tangent grid jets at the nodes ``ts`` from the velocity
-        grid jets ``vel`` of the given order; node failures are appended
-        to ``failures``."""
+        grid jets ``vel`` of the given order, and the norm jet of the
+        velocity they are the direction of; node failures are appended to
+        ``failures``."""
         regular = np.linalg.norm(_values(vel), axis=1) >= SINGULAR_SPEED
-        coeffs = np.zeros((len(vel), order + 1, len(ts)))
-        unit, _, finite = _normalize_jet_vector(_subset(vel, regular))
-        coeffs[:, :, regular] = [j.coeffs for j in unit]
+        coeffs = np.zeros((len(vel) + 1, order + 1, len(ts)))  # and the norm
+        unit, norm, finite = _normalize_jet_vector(_subset(vel, regular))
+        coeffs[:, :, regular] = [j.coeffs for j in unit + [norm]]
         failures += [(i, None) for i in np.flatnonzero(regular)[~finite]]
         slow = np.flatnonzero(~regular)
         if slow.size:
@@ -240,11 +246,12 @@ class TangentEvaluator:
                         f"a tangent jet of order {order}"))
 
             vel = derivative_jets(self.curve.jets(ts[slow], deep + 1))
-            unit, failure = leading_unit_jets(vel, order, undetermined)
-            coeffs[:, :, slow] = [j.coeffs for j in unit]
+            unit, norm, failure = leading_unit_jets(vel, order, undetermined)
+            coeffs[:, :, slow] = [j.coeffs for j in unit + [norm]]
             if failure is not None:
                 failures.append((slow[failure[0]], failure[1]))
-        return [Jet(ts, c) for c in coeffs]
+        jets = [Jet(ts, c) for c in coeffs]
+        return jets[:-1], jets[-1]
 
     def tau_jet_vec(self, t, order: int) -> list:
         """Jets of the unit tangent representative, to the given order:
@@ -252,7 +259,7 @@ class TangentEvaluator:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         vel = derivative_jets(self.curve.jets(ts, order + 1))
         failures = []
-        tau = self._tau(ts, order, vel, failures)
+        tau = self._tau(ts, order, vel, failures)[0]
         _raise_first(failures, ts)
         return tau if np.ndim(t) else [j[0] for j in tau]
 
@@ -265,7 +272,7 @@ class TangentEvaluator:
         jets = self.curve.jets(ts, 3)
         vel = derivative_jets(jets)
         failures = []
-        tau = self._tau(ts, 2, vel, failures)
+        tau, speed = self._tau(ts, 2, vel, failures)
         tau_p = derivative_jets(tau)
         kappa = np.zeros(n)
         mu, mu_p = np.full((2, n, dim), np.nan)
@@ -277,9 +284,11 @@ class TangentEvaluator:
         mu_p[defined] = _values(derivative_jets(unit))
         failures += [(i, None) for i in np.flatnonzero(defined)[~finite]]
         _raise_first(failures, ts)
+        rate = np.divide(np.abs(speed.coeffs[1]), speed.value,
+                         out=np.zeros(n), where=speed.value > 0.0)
         data = TangentData(ts, _values(jets), _values(vel),
-                           _values(derivative_jets(vel)),
-                           _values(tau), _values(tau_p), kappa, mu, mu_p)
+                           _values(derivative_jets(vel)), _values(tau),
+                           _values(tau_p), kappa, mu, mu_p, rate)
         return data if np.ndim(t) else data[0]
 
 
@@ -389,63 +398,3 @@ def unit_tangent(curve: Curve, grid, k_max: int = DEFAULT_K_MAX) -> TangentField
     raw = _values(TangentEvaluator(curve, k_max=k_max).tau_jet_vec(grid, 0))
     tau, flips = chain_signs(raw)
     return TangentField(curve=curve, grid=grid, tau=tau, sign_flips=flips)
-
-
-# ---------------------------------------------------------------------------
-# Properness sampling
-
-
-@dataclass(frozen=True)
-class PropernessReport:
-    singular_count: int
-    total_count: int
-    singular_fraction: float
-    largest_box: tuple | None
-    largest_box_shape: tuple | None
-    has_full_dim_singular_block: bool
-    proper_estimate: bool
-
-
-def _has_full_dim_block(mask: np.ndarray) -> bool:
-    """True when some 2x...x2 window is entirely singular."""
-    if mask.size == 0 or not mask.any():
-        return False
-    window = mask
-    for axis in range(mask.ndim):
-        if window.shape[axis] < 2:
-            return False
-        n = window.shape[axis]
-        window = np.logical_and(
-            np.take(window, range(0, n - 1), axis=axis),
-            np.take(window, range(1, n), axis=axis),
-        )
-    return bool(window.any())
-
-
-def properness_scan(surface_grid) -> PropernessReport:
-    """Sampling surrogate for properness of a ruled map.
-
-    The map is judged "proper" at this sampling resolution when the
-    singular nodes have fraction < 1 and do not contain a full-dimensional
-    block (interior points of the singular locus would produce one).
-    """
-    mask = np.asarray(surface_grid.singular_flag, dtype=bool)
-    total = mask.size
-    count = int(mask.sum())
-    if count == 0:
-        box, shape = None, None
-    elif mask.ndim == 2:
-        _, box = largest_true_box_2d(mask)
-        shape = (box[1] - box[0], box[3] - box[2]) if box else None
-    else:
-        box, shape = None, None  # exact box search implemented for 2-d grids
-    full_dim = _has_full_dim_block(mask)
-    return PropernessReport(
-        singular_count=count,
-        total_count=total,
-        singular_fraction=count / total if total else 0.0,
-        largest_box=box,
-        largest_box_shape=shape,
-        has_full_dim_singular_block=full_dim,
-        proper_estimate=(count < total) and not full_dim,
-    )

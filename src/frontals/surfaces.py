@@ -38,8 +38,6 @@ from .linalg import ruled_singular_values, singular_value_rank
 
 RULINGS = ("unit", "derivative")
 
-#: |kappa| at or below which the singular locus and directrix diverge
-_INFLECTION_KAPPA = 1e-8
 #: least enforced directrix tangency residual, relative to max(1, |g'|)
 _TANGENCY_TOL = 1e-5
 #: smallest Jacobian singular value of a tangent-map node whose normal
@@ -238,9 +236,10 @@ class SingularLocusCurve:
 
 def singular_locus_parallel(profile: InvariantProfile,
                             offsets) -> SingularLocusCurve:
-    """Closed-form singular locus s(t) = sum_i u_i ell_i(t) / kappa(t)."""
+    """Closed-form singular locus s(t) = sum_i u_i ell_i(t) / kappa(t) of
+    a profile whose kappa passed :func:`zero_kappa` (nowhere 0)."""
     offsets = _check_offsets(profile.ells.shape[0], offsets)
-    if np.min(np.abs(profile.kappa)) <= _INFLECTION_KAPPA:
+    if (profile.kappa == 0.0).any():
         raise InflectionError(
             "inflection in range: the singular locus may diverge"
         )
@@ -313,7 +312,7 @@ def directrix(frame: AdaptedFrame, profile: InvariantProfile,
     """
     offsets = _check_offsets(frame.n_normals, offsets)
     _check_grid_match(frame.grid, profile.grid, "directrix profile grid")
-    if np.min(np.abs(profile.kappa)) <= _INFLECTION_KAPPA:
+    if (profile.kappa == 0.0).any():
         raise InflectionError("inflection in range: directrix undefined")
     g = _edge(frame, profile.ells, profile.kappa, offsets)[1]
 
@@ -522,7 +521,7 @@ def normal_flatness_residual(frame: AdaptedFrame,
             >= _FLATNESS_EXCLUSION)
     jac = np.stack([jt, np.broadcast_to(tau, jt.shape)], -1)
     q, r = np.linalg.qr(jac[kept])
-    # orthonormal_column_basis's rule: zero the columns with a tiny |R_kk|
+    # zero the columns whose |R_kk| is tiny next to R's largest entry
     tiny = 1e-12 * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
     q *= (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > tiny[:, None])[:, None]
 

@@ -178,8 +178,7 @@ def test_criterion_05_inflection_behaviour():
     ok_c = True
     rows = []
     for grid in (nodes, -nodes[::-1]):
-        frame = adapted_frame(grid_record(entry.curve, grid),
-                              inflection_rel_tol=1e-9)
+        frame = adapted_frame(grid_record(entry.curve, grid))
         prof = invariants(frame)
         measured = np.abs(singular_locus_parallel(prof, [u]).s) / abs(u)
         oracle = _example23_torsion_over_curvature(grid)

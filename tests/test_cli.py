@@ -29,6 +29,14 @@ def parse_csv(text):
     return header, rows
 
 
+def _write_config(path, components, domain, t_steps):
+    path.write_text(f"name = c\ndim = {len(components)}\n"
+                    f"components = [{', '.join(components)}]\n"
+                    f"domain = {domain}\ngrid.t_steps = {t_steps}\n",
+                    encoding="utf-8")
+    return str(path)
+
+
 class TestInvariantsCommand:
     def test_example22_kappa_column(self):
         rc, out, _ = run_cli(["invariants", "--curve", "example22"])
@@ -364,6 +372,22 @@ class TestBishopCommand:
         assert np.abs(np.linalg.norm(nu1, axis=1) - 1).max() <= 1e-12
         assert np.abs(np.sum(nu1 * nu2, axis=1)).max() <= 1e-12
 
+    def test_seed_completion_near_the_pivot_tolerance(self, tmp_path):
+        # tau at t = 0.1 leaves e_2 a residual of 2.5e-6 against it, just
+        # above the pivot tolerance: one projection pass left the seeds
+        # 7.9e-9 off orthonormal and the transport refused them
+        cfg = _write_config(tmp_path / "c.cfg", ["t^(1/3) + t^5", "t^4",
+                                                 "1e-8*t"], "[0.1, 1.1]", 21)
+        rc, out, err = run_cli(["bishop", "--config", cfg])
+        assert rc == 0, err
+        nu1, nu2 = parse_csv(out)[1][0, 1:].reshape(2, 3)
+        assert abs(nu1 @ nu2) <= 1e-15
+        assert np.linalg.norm([nu1, nu2], axis=1) == pytest.approx(
+            1.0, abs=1e-15)
+        rc, _, err = run_cli(["verify", "--check", "structure",
+                              "--config", cfg])
+        assert rc in (0, 2) and err == ""
+
 
 class TestExitCodes:
     def test_unknown_curve(self):
@@ -684,6 +708,63 @@ class TestStraightSegment:
             "curve_normal.f_prime", "curve_normal.nu1_prime",
             "curve_normal.nu2_prime", "curve_normal.tau_prime",
         ]
+
+
+class TestZeroCurvatureRule:
+    """kappa = |tau'| is zero where it is at the rounding level of tau',
+    a bound that scales like kappa under t -> c t."""
+
+    SCALES = (1.0, 1e-3, 1e-9, 1e-13)
+
+    @staticmethod
+    def _helix(tmp_path, c):
+        return _write_config(tmp_path / "helix.cfg",
+                             [f"cos({c}*t)", f"sin({c}*t)", f"{c}*t"],
+                             "[0, 1]", 21)
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--check", "theorem22", "--u", "0.5"],
+        ["surface", "--kind", "pal", "--export", "csv"],
+    ], ids=lambda a: "-".join(a[:3]))
+    def test_slow_helix_keeps_its_frame(self, tmp_path, command):
+        for c in self.SCALES:
+            rc, _, err = run_cli(command + ["--config",
+                                            self._helix(tmp_path, c)])
+            assert rc == 0, (c, err)
+
+    def test_helix_curvature_scales_with_c(self, tmp_path):
+        # the helix (cos ct, sin ct, ct) has kappa = c / sqrt(2)
+        ratios = []
+        for c in self.SCALES:
+            rc, out, err = run_cli(["invariants", "--config",
+                                    self._helix(tmp_path, c)])
+            assert rc == 0, (c, err)
+            ratios.append(parse_csv(out)[1][:, 2] / c)
+        assert np.abs(np.array(ratios) / ratios[0] - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("speed", ["t+t^3", "exp(t)", "t^3",
+                                       "1e-9*(t+t^3)", "sin(t)"])
+    def test_reparametrized_lines_are_straight(self, tmp_path, speed):
+        cfg = _write_config(tmp_path / "line.cfg",
+                            [f"{d}*({speed})" for d in (1, 2, 3)],
+                            "[-1, 1]", 201)
+        rc, out, err = run_cli(["invariants", "--config", cfg])
+        assert rc == 0, err
+        assert (parse_csv(out)[1][:, 2:] == 0.0).all()
+
+    @pytest.mark.parametrize("command", [
+        ["invariants"], ["surface", "--kind", "pal", "--export", "csv"],
+    ], ids=lambda a: a[0])
+    def test_cusp_node_next_to_zero_keeps_its_frame(self, tmp_path, command):
+        # linspace(-0.3, 0.7, 11) has a node at 5.6e-17, where |f'| is
+        # 1.1e-16 and kappa 1.5: the tangent there is the direction of
+        # f'', whose norm sets the rounding level, not |f'|
+        cfg = _write_config(tmp_path / "cusp.cfg", ["t^2", "t^3", "t^4"],
+                            "[-0.3, 0.7]", 11)
+        rc, out, err = run_cli(command + ["--config", cfg])
+        assert rc == 0, err
+        if command == ["invariants"]:
+            assert parse_csv(out)[1][3, 2] == pytest.approx(1.5)
 
 
 class TestDeterminism:

@@ -14,7 +14,6 @@ from frontals.frames import (
     bishop_transport,
     central_difference,
     grid_record,
-    inflection_points,
     invariants,
     structure_residuals_adapted,
     structure_residuals_bishop,
@@ -310,45 +309,6 @@ class TestCentralDifference:
         grid[7] += 1e-9
         with pytest.raises(ValueError, match="uniform grid"):
             central_difference(grid, grid)
-
-
-class TestInflectionPoints:
-    def test_isolated_inflection(self):
-        c = get_curve("example23")
-        intervals = inflection_points(c, np.linspace(-1, 1, 201))
-        assert len(intervals) == 1
-        lo, hi = intervals[0]
-        assert lo <= 0.0 <= hi
-
-    def test_inflection_found_between_samples(self):
-        c = get_curve("example23")
-        grid = np.linspace(-1, 1, 200)  # even count: 0 is not a sample
-        intervals = inflection_points(c, grid)
-        assert len(intervals) == 1
-        assert intervals[0][0] <= 0.0 <= intervals[0][1]
-
-    def test_no_inflection(self):
-        assert inflection_points(get_curve("example22"),
-                                 np.linspace(-1, 1, 101)) == []
-
-    def test_straight_line_flags_whole_domain(self):
-        intervals = inflection_points(get_curve("line"),
-                                      np.linspace(-1, 1, 51))
-        assert intervals == [(-1.0, 1.0)]
-
-    def test_flat_curve_hidden_inflections(self):
-        # on the t < 0 branch the curve is planar with curvature
-        # proportional to t^-5 (1 - 2 t^2) exp(-1/t^2): true zeros at
-        # +-1/sqrt(2) plus the flat stretch around 0
-        intervals = inflection_points(get_curve("example21"),
-                                      np.linspace(-1, 1, 401))
-        assert len(intervals) == 3
-        root = 1.0 / math.sqrt(2.0)
-        assert intervals[0][0] <= -root <= intervals[0][1] + 1e-4
-        assert intervals[1][0] <= 0.0 <= intervals[1][1]
-        assert intervals[2][0] - 1e-4 <= root <= intervals[2][1]
-        assert intervals[0][0] == pytest.approx(-root, abs=1e-4)
-        assert intervals[2][1] == pytest.approx(root, abs=1e-4)
 
 
 class TestTangentSurfaceNormal:

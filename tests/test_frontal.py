@@ -12,14 +12,12 @@ from frontals.errors import (
 from frontals.frontal import (
     TangentEvaluator,
     contact_orders,
-    properness_scan,
     unit_tangent,
     wronskian_matrix,
     wronskian_rank,
 )
 from frontals.linalg import batched_rank
-from frontals.surfaces import normal_map, tangent_map
-from frontals.frames import bishop_transport, grid_record
+from frontals.frames import grid_record
 
 
 def curve_2d(name, sources):
@@ -220,41 +218,10 @@ class TestTangentData:
             d.normal()
 
 
-class TestPropernessScan:
-    def test_tangent_surface_thin_singular_line(self):
-        c = get_curve("example22")
-        t = np.linspace(-1, 1, 101)
-        s = np.linspace(-1, 1, 101)
-        grid = tangent_map(grid_record(c, t), s)
-        rep = properness_scan(grid)
-        assert rep.singular_fraction == pytest.approx(1.0 / 101.0)
-        assert rep.largest_box_shape == (101, 1)
-        assert not rep.has_full_dim_singular_block
-        assert rep.proper_estimate
-
-    def test_line_tangent_surface_everywhere_singular(self):
-        c = get_curve("line")
-        t = np.linspace(-1, 1, 21)
-        s = np.linspace(-1, 1, 21)
-        rep = properness_scan(tangent_map(grid_record(c, t), s))
-        assert rep.singular_fraction == 1.0
-        assert not rep.proper_estimate
-
-    def test_line_normal_map_regular(self):
-        entry = get_entry("line")
-        t = np.linspace(-1, 1, 11)
-        fields = bishop_transport(grid_record(entry.curve, t),
-                                  entry.bishop_seed(t[0]))
-        grid = normal_map(fields, np.linspace(-1, 1, 7))
-        rep = properness_scan(grid)
-        assert rep.singular_fraction == 0.0
-        assert rep.proper_estimate
-
-
 def _record_bytes(d):
     return [None if v is None else np.asarray(v, dtype=float).tobytes()
             for v in (d.t, d.f, d.fprime, d.fsecond, d.tau, d.tau_p, d.kappa,
-                      d.mu, d.mu_p)]
+                      d.mu, d.mu_p, d.speed_rate)]
 
 
 def _first_error(calls):

@@ -123,3 +123,42 @@ def test_no_per_node_jet_calls():
             and node.func.attr == "jets"
         ]
     assert offenders == []
+
+
+def _mentions_kappa(node) -> bool:
+    return any("kappa" in name and name != "zero_kappa"
+               for sub in ast.walk(node)
+               for name in (getattr(sub, "id", ""), getattr(sub, "attr", "")))
+
+
+def test_one_kappa_rule():
+    # only frames.zero_kappa decides that kappa = |tau'| is zero to
+    # rounding; elsewhere kappa is compared with an exact 0 at most
+    retired = ("_STRAIGHT_KAPPA", "_INFLECTION_KAPPA",
+               "DEFAULT_INFLECTION_REL_TOL", "inflection_rel_tol")
+    offenders, rule = [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        offenders += [f"{path.name} names {name}" for name in retired
+                      if name in text]
+        tree = ast.parse(text, filename=str(path))
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "zero_kappa" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if not any(_mentions_kappa(op) for op in operands):
+                continue
+            if id(node) in inside:
+                rule.append(f"{path.name}:{node.lineno}")
+                continue
+            others = [op for op in operands if not _mentions_kappa(op)]
+            exact_zero = (len(others) == len(operands) - 1 and all(
+                isinstance(op, ast.Constant) and op.value == 0
+                for op in others))
+            if not exact_zero:
+                offenders.append(f"{path.name}:{node.lineno} compares kappa")
+    assert offenders == []
+    assert len(rule) == 1 and rule[0].startswith("frames.py:")

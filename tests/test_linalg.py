@@ -7,6 +7,7 @@ from frontals.errors import MathPreconditionError
 from frontals.linalg import (
     DEFAULT_RANK_TOL,
     batched_rank,
+    orthonormal_completion,
     ruled_singular_values,
     singular_value_rank,
 )
@@ -76,3 +77,14 @@ class TestRuledSingularValues:
     def test_non_orthonormal_rulings_raise(self, v):
         with pytest.raises(MathPreconditionError, match="orthonormal"):
             ruled_singular_values(np.ones(3), np.array(v), 1.0)
+
+
+class TestGramSchmidt:
+    def test_completion_orthonormal_after_cancellation(self):
+        # e_2 keeps a residual of 2.5e-6 against this tau, just above the
+        # pivot tolerance; the second projection pass removes what the
+        # first one's cancellation left
+        tau = np.array([1.0, 2.5e-6, 1e-8])
+        tau /= np.linalg.norm(tau)
+        rows = np.array([tau, *orthonormal_completion([tau], 3, 2)])
+        assert np.abs(rows @ rows.T - np.eye(3)).max() <= 1e-15
