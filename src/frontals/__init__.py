@@ -22,7 +22,6 @@ from .expressions import (
     EvalDomainError,
     ParseError,
     eval_jet,
-    eval_real,
     parse,
     to_source,
 )
@@ -49,7 +48,6 @@ from .frontal import (
     contact_orders,
     unit_tangent,
     wronskian_matrix,
-    wronskian_rank,
 )
 from .jets import (
     Jet,

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import corpus
-from .config import load_config
+from .config import GridSpec, load_config
 from .errors import ConfigError, MathPreconditionError
 from .exports import (
     csv_lines,
@@ -81,12 +81,12 @@ class _CurveContext:
         if args.curve:
             self.entry = corpus.get_entry(args.curve)
             self.curve = self.entry.curve
-            t_steps, s_steps, s_range = 201, 101, (-1.0, 1.0)
+            spec = GridSpec()
         else:
             cfg = load_config(args.config)
             self.curve = cfg.build_curve()
-            t_steps, s_steps = cfg.grid.t_steps, cfg.grid.s_steps
-            s_range = cfg.grid.s_range
+            spec = cfg.grid
+        t_steps, s_steps, s_range = spec.t_steps, spec.s_steps, spec.s_range
         if getattr(args, "t_steps", None) is not None:
             t_steps = args.t_steps
         if getattr(args, "s_steps", None) is not None:

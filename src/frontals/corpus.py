@@ -10,8 +10,8 @@ value carries an ``origin`` tag:
 
 The flat piecewise curve ``example21`` cannot be written in the
 expression grammar, so it is provided with closed-form branch evaluation
-for points and for jets over a 1-d array of base points; at t = 0 the
-exponentially flat components contribute identically zero jets.
+of its jets over a 1-d array of base points; at t = 0 the exponentially
+flat components contribute identically zero jets.
 """
 
 from __future__ import annotations
@@ -61,15 +61,6 @@ class CorpusEntry:
 # example21: flat piecewise curve whose tangent surface fails to be frontal
 
 
-def _flat_point(t: float) -> np.ndarray:
-    flat = math.exp(-1.0 / (t * t)) if t * t else 0.0
-    if t > 0:
-        return np.array([flat, 0.0, -t * t])
-    if t < 0:
-        return np.array([0.0, flat, -t * t])
-    return np.zeros(3)
-
-
 @np.errstate(divide="ignore")
 def _flat_jets(ts: np.ndarray, order: int) -> list:
     u = variable(ts, order)
@@ -84,9 +75,7 @@ def _flat_jets(ts: np.ndarray, order: int) -> list:
 
 
 def _example21() -> CorpusEntry:
-    curve = CallableCurve(
-        "example21", 3, (-1.0, 1.0), _flat_point, _flat_jets
-    )
+    curve = CallableCurve("example21", 3, (-1.0, 1.0), _flat_jets)
     expected = (
         Expected("contact_orders@0", "derived", (2, None),
                  "only the -t^2 component has nonzero jets at 0"),

@@ -1,10 +1,11 @@
-"""Parametric curves evaluable to points or to jets.
+"""Parametric curves, evaluated only as jets.
 
 A curve is a map from a closed interval into R^dim with dim = 1 + p >= 2.
-Most curves come from parsed component expressions; built-in demo curves
-may supply their own callables instead, the jet callable taking a 1-d
-array of base points (the flat piecewise curve cannot be expressed in
-the expression grammar).
+Its one evaluator is :meth:`Curve.jets`; a point is the value row of an
+order-0 jet. Most curves come from parsed component expressions; built-in
+demo curves may supply a jet callable over a 1-d array of base points
+instead (the flat piecewise curve cannot be expressed in the expression
+grammar).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, MathPreconditionError
-from .expressions import EvalDomainError, eval_jet, eval_real, parse, to_source
+from .expressions import EvalDomainError, eval_jet, parse, to_source
 from .jets import Jet
 
 
@@ -38,17 +39,11 @@ class Curve:
         """Normal-bundle rank p = dim - 1."""
         return self.dim - 1
 
-    def point(self, t: float) -> np.ndarray:
-        raise NotImplementedError
-
     def jets(self, t0, order: int) -> list:
         """Component jets of the given order about t0, one :class:`Jet`
         per component: about one point for a scalar t0, about every
         point of an array t0 (base of shape (N,))."""
         raise NotImplementedError
-
-    def points(self, ts) -> np.ndarray:
-        return np.array([self.point(t) for t in np.asarray(ts, dtype=float)])
 
     def grid(self, steps: int) -> np.ndarray:
         return np.linspace(self.domain[0], self.domain[1], steps)
@@ -76,18 +71,29 @@ class ExprCurve(Curve):
         return cls(name, components, domain, sources=tuple(sources))
 
     def _validate(self):
+        # one order-0 pass over three interior points; only when it fails
+        # are they evaluated one at a time, to name the first bad one
         lo, hi = self.domain
-        for frac in (0.5, 0.25, 0.75):
-            t = lo + frac * (hi - lo)
-            try:
-                self.point(t)
-            except MathPreconditionError as exc:
-                raise CurveDefinitionError(
-                    f"component not evaluable at interior point t={t}: {exc}"
-                ) from exc
-
-    def point(self, t: float) -> np.ndarray:
-        return np.array([eval_real(c, t) for c in self.components])
+        ts = lo + np.array([0.5, 0.25, 0.75]) * (hi - lo)
+        try:
+            if np.isfinite([eval_jet(c, ts, 0).value
+                            for c in self.components]).all():
+                return
+        except MathPreconditionError:
+            pass
+        for t in ts.tolist():
+            for source, c in zip(self.sources, self.components):
+                try:
+                    value = eval_jet(c, t, 0).value
+                except MathPreconditionError as exc:
+                    raise CurveDefinitionError(
+                        f"component not evaluable at interior point t={t}: "
+                        f"{exc}") from exc
+                # constants are finite, so only an overflow makes inf or nan
+                if not np.isfinite(value):
+                    raise CurveDefinitionError(
+                        f"component {source!r} overflows at interior point "
+                        f"t={t}")
 
     def jets(self, t0, order: int) -> list:
         t0 = np.asarray(t0, dtype=float)
@@ -103,17 +109,13 @@ class ExprCurve(Curve):
 
 
 class CallableCurve(Curve):
-    """Curve defined by explicit callables (built-in corpus use): the
-    point at one value, ``point_fn(t)``, and the component jets about
-    every value of a 1-d array, ``jets_fn(ts, order)``."""
+    """Curve defined by an explicit jet callable (built-in corpus use):
+    the component jets about every value of a 1-d array,
+    ``jets_fn(ts, order)``."""
 
-    def __init__(self, name, dim, domain, point_fn, jets_fn):
+    def __init__(self, name, dim, domain, jets_fn):
         super().__init__(name, dim, domain)
-        self._point_fn = point_fn
         self._jets_fn = jets_fn
-
-    def point(self, t: float) -> np.ndarray:
-        return np.asarray(self._point_fn(float(t)), dtype=float)
 
     @np.errstate(all="ignore")
     def jets(self, t0, order: int) -> list:

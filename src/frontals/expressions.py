@@ -23,7 +23,6 @@ legitimate away from 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -322,56 +321,11 @@ def to_source(e: Expr) -> str:
 # Evaluation
 
 
-def eval_real(e: Expr, t: float) -> float:
-    """Evaluate at a real parameter value."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(t)
-    if isinstance(e, Neg):
-        return -eval_real(e.arg, t)
-    if isinstance(e, Call):
-        x = eval_real(e.arg, t)
-        try:
-            if e.fn == "sqrt":
-                if x < 0.0:
-                    raise EvalDomainError("sqrt of negative value", e)
-                return math.sqrt(x)
-            return getattr(math, e.fn)(x)
-        except OverflowError:
-            raise EvalDomainError("overflow", e) from None
-    if isinstance(e, BinOp):
-        a = eval_real(e.left, t)
-        b = eval_real(e.right, t)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalDomainError("division by zero", e)
-        return a / b
-    if isinstance(e, Pow):
-        a = eval_real(e.base, t)
-        exp = e.exponent
-        if a == 0.0 and exp < 0:
-            raise EvalDomainError("zero base with negative exponent", e)
-        if a < 0.0 and exp.denominator != 1:
-            raise EvalDomainError("negative base with non-integer exponent", e)
-        power = exp.numerator if exp.denominator == 1 else float(exp)
-        try:
-            return float(a) ** power
-        except OverflowError:
-            raise EvalDomainError("overflow", e) from None
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def eval_jet(e: Expr, t0, order: int) -> Jet:
     """Evaluate as a jet of the given order about t0.
 
     The result equals the Taylor expansion of the expression's function
-    at t0; in particular ``eval_jet(e, t, 0).value == eval_real(e, t)``.
+    at t0; order 0 gives its value, ``eval_jet(e, t, 0).value``.
     An array t0 gives a grid :class:`~frontals.jets.Jet` over all its
     points from one pass over the tree; a domain error at any point
     raises, with the same message as at that point alone. Overflow gives

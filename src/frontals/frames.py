@@ -290,7 +290,10 @@ def adapted_frame(record: GridRecord, nu0=None) -> AdaptedFrame:
     are the surface-normal parallel transport of ``nu0`` (default: a
     canonical Gram-Schmidt completion of the standard basis against
     {tau, mu} at the first grid point). A grid with a node where
-    :func:`zero_kappa` holds raises :class:`InflectionError`.
+    :func:`zero_kappa` holds, or with a step over which mu reverses (a
+    negative inner product of a node's mu with its step midpoint's, or
+    of the midpoint's with the next node's), raises
+    :class:`InflectionError`.
     """
     curve, grid, nodes = record.curve, record.grid, record.nodes
     mu = nodes.normal()[0]
@@ -300,6 +303,13 @@ def adapted_frame(record: GridRecord, nu0=None) -> AdaptedFrame:
     if zero.any():
         first = grid[int(np.argmax(zero))]
         raise InflectionError(f"inflection point in range near t={first}")
+    mids = record.mids.mu
+    flip = ((np.einsum("nk,nk->n", mu[:-1], mids) < 0.0)
+            | (np.einsum("nk,nk->n", mids, mu[1:]) < 0.0))
+    if flip.any():
+        i = int(np.argmax(flip))
+        raise InflectionError(f"inflection point in range: mu reverses "
+                              f"between t={grid[i]} and t={grid[i + 1]}")
 
     n, d = len(grid), curve.dim
     q = curve.codim - 1

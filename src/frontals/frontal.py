@@ -326,13 +326,6 @@ def wronskian_matrix(curve: Curve, t0, k: int) -> np.ndarray:
     return matrix
 
 
-def wronskian_rank(curve: Curve, t0: float, k: int,
-                   tol: float = DEFAULT_RANK_TOL) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return int(batched_rank(wronskian_matrix(curve, t0, k), tol))
-
-
 def contact_orders(curve: Curve, t0, k_max: int = DEFAULT_K_MAX,
                    tol: float = DEFAULT_RANK_TOL):
     """Rank profile and the first orders at which rank 1 and 2 are

@@ -282,6 +282,10 @@ def jet_elem(fn: str, a: Jet) -> Jet:
             return a._new(_sqrt_rows(a.coeffs))
     except OverflowError as exc:
         raise JetDomainError(f"{fn} overflow in jet composition") from exc
+    except ValueError as exc:
+        # math.sin and math.cos of an infinite argument
+        raise JetDomainError(f"{fn} of a non-finite value in jet "
+                             f"composition") from exc
     raise ValueError(f"unknown elementary function {fn!r}")
 
 

@@ -458,15 +458,16 @@ def symplectic_pullback_check(fields: ParallelFields,
         raise ConfigError(f"fd_step {fd_step:g} gives a central difference "
                           f"with identical end points")
 
-    # the fields at every t the differences visit, in one evaluation:
-    # row m of ts holds t0 + fd_step, t0 - fd_step and t0 itself
+    # the curve and the fields at every t the differences visit, in one
+    # evaluation each: row m of ts holds t0 + fd_step, t0 - fd_step and t0
     ts = np.stack([sample_ts + fd_step, sample_ts - fd_step, sample_ts],
-                  axis=1)
-    nus = fields.eval_at(ts.ravel())  # (p, 3 len(sample_ts), d)
+                  axis=1).ravel()
+    nus = fields.eval_at(ts)  # (p, 3 len(sample_ts), d)
+    points = np.stack([j.value for j in curve.jets(ts, 0)], axis=-1)
 
     def lift(m, side, u):
         offset = u @ nus[:, 3 * m + side, :]
-        return curve.point(ts[m, side]) + offset, offset
+        return points[3 * m + side] + offset, offset
 
     entries = []
     for m in range(len(sample_ts)):

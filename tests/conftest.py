@@ -25,6 +25,13 @@ def assert_close_upto_sign(actual, expected, tol):
     )
 
 
+def curve_points(curve, ts):
+    """The curve's points at ``ts``, shape (len(ts), dim): the value rows
+    of one order-0 jet evaluation."""
+    jets = curve.jets(np.asarray(ts, dtype=float), 0)
+    return np.stack([j.value for j in jets], axis=-1)
+
+
 def gauss_rank(matrix, tol=1e-9):
     """Row-reduction rank with partial pivoting and a relative pivot
     threshold; brute-force cross-check for the SVD-based rank."""

@@ -384,9 +384,12 @@ class TestBishopCommand:
         assert abs(nu1 @ nu2) <= 1e-15
         assert np.linalg.norm([nu1, nu2], axis=1) == pytest.approx(
             1.0, abs=1e-15)
+        # mu reverses between two nodes of the refined grid near t = 0.74
         rc, _, err = run_cli(["verify", "--check", "structure",
                               "--config", cfg])
-        assert rc in (0, 2) and err == ""
+        assert rc == 2
+        assert err == ("precondition violated: inflection point in range: "
+                       "mu reverses between t=0.739 and t=0.74\n")
 
 
 class TestExitCodes:
@@ -598,7 +601,12 @@ class TestOverflowInputs:
          "jets at t=-1e-110 overflow double precision"),
         ("[t^2, 1e308*t^3, t^4]", "[-1e-110, 1e-110]", "bishop",
          "jets at t=-1e-110 overflow double precision"),
-    ], ids=["rational-power", "singular-speed", "singular-speed-bishop"])
+        # the argument is 0 at the three load-time points, -inf at t = -1
+        ("[t, sin(1e300*(t-1)*t*(t-2)*1e300), t^2]", "[-1, 3]", "invariants",
+         "sin of a non-finite value in jet composition in "
+         "'sin(1e+300 * (t - 1.0) * t * (t - 2.0) * 1e+300)'"),
+    ], ids=["rational-power", "singular-speed", "singular-speed-bishop",
+            "sin-of-infinity"])
     def test_overflow_mid_run_is_a_precondition(self, tmp_path, components,
                                                 domain, command, message):
         cfg = tmp_path / "c.cfg"
@@ -613,13 +621,17 @@ class TestOverflowInputs:
 
     def test_overflow_at_load_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(
-            "name = big\ndim = 3\ncomponents = [t, (1e200*t)^2, t^3]\n"
-            "domain = [-1, 1]\n",
-            encoding="utf-8",
-        )
-        rc, _, err = run_cli(["invariants", "--config", str(cfg)])
-        assert rc == 1 and "overflow" in err
+        for components, message in [
+            ("[t, (1e200*t)^2, t^3]", "overflow"),
+            ("[t, sin(1e300*t*1e300), t^2]", "sin of a non-finite value"),
+        ]:
+            cfg.write_text(
+                f"name = big\ndim = 3\ncomponents = {components}\n"
+                "domain = [-1, 1]\n",
+                encoding="utf-8",
+            )
+            rc, _, err = run_cli(["invariants", "--config", str(cfg)])
+            assert rc == 1 and message in err
 
 
 class TestPreconditionMessages:
@@ -649,6 +661,22 @@ class TestPreconditionMessages:
         assert err.startswith("precondition violated: frame at the start "
                               "point t=0.1 is not orthonormal")
         assert "kappa = 1.9" in err and "|tau . mu| = " in err
+
+    @pytest.mark.parametrize("steps, step", [
+        ("21", "t=0.7000000000000001 and t=0.75"),
+        ("201", "t=0.735 and t=0.74"),
+        ("1001", "t=0.739 and t=0.74"),
+    ])
+    def test_mu_reversal_within_a_step(self, tmp_path, steps, step):
+        # kappa stays above 1e-3 at every node, but adjacent mu's have an
+        # inner product of about -1 near t = 0.74
+        cfg = self._config(tmp_path, "[t^(1/3) + t^5, t^4, 1e-8*t]",
+                           "[0.1, 1.1]")
+        rc, out, err = run_cli(["invariants", "--config", cfg,
+                                "--t-steps", steps])
+        assert rc == 2 and out == ""
+        assert err == ("precondition violated: inflection point in range: "
+                       f"mu reverses between {step}\n")
 
     @pytest.mark.parametrize("command", ["frontality", "invariants"])
     def test_domain_error_names_the_first_failing_node(self, tmp_path,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_close_upto_sign
+from conftest import assert_close_upto_sign, curve_points
 from frontals.corpus import get_curve, get_entry
 from frontals.curves import ExprCurve
 from frontals.errors import GridTooCoarseError, InflectionError
@@ -143,7 +143,8 @@ class TestDoubleReflectionOracle:
             seeds = orthonormal_completion([record.nodes.tau[0]], curve.dim,
                                            curve.codim)
             fields = bishop_transport(record, seeds)
-            oracle = double_reflection(curve.points(grid), record.nodes.tau, seeds)
+            oracle = double_reflection(curve_points(curve, grid),
+                                       record.nodes.tau, seeds)
             distances.append(np.abs(fields.vectors - oracle).max())
         assert distances[0] <= 1e-7
         orders = np.log2(np.array(distances[:-1]) / distances[1:])

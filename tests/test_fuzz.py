@@ -21,7 +21,7 @@ from frontals.cli import main
 # function and scales near both ends of the float range
 ATOMS = ("t", "t^2", "t^3", "t^(1/3)", "t^(5/2)", "sin(t)", "cos(t)",
          "exp(t)", "sqrt(1+t^2)", "1/(1+t^2)", "1e-8*t", "exp(-1/t^2)",
-         "1e300*t", "1e-300*t")
+         "1e300*t", "1e-300*t", "sin(1e300*t*1e300)")
 DOMAINS = ("[-1, 1]", "[0.1, 1.1]", "[-0.3, 0.7]", "[1, 2]")
 
 # every subcommand, every surface kind and export, every check; OFFSETS

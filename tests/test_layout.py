@@ -162,3 +162,20 @@ def test_one_kappa_rule():
                 offenders.append(f"{path.name}:{node.lineno} compares kappa")
     assert offenders == []
     assert len(rule) == 1 and rule[0].startswith("frames.py:")
+
+
+def test_one_curve_evaluator():
+    # a curve is evaluated only as jets, a point being the value row of an
+    # order-0 jet: no float evaluator of expressions, and every method of
+    # a curve class that takes parameter values is a jets method
+    offenders = [path.name for path in sorted(SRC.glob("*.py"))
+                 if "eval_real" in path.read_text(encoding="utf-8")]
+    tree = ast.parse((SRC / "curves.py").read_text(encoding="utf-8"))
+    evaluators = {
+        f"{cls.name}.{fn.name}"
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        if {a.arg for a in fn.args.args} & {"t", "t0", "ts"}
+    }
+    assert offenders == []
+    assert evaluators == {"Curve.jets", "ExprCurve.jets", "CallableCurve.jets"}
