@@ -65,7 +65,6 @@ from .surfaces import (
     NormalCurvatureField,
     NormalFlatnessReport,
     RightEquivalenceReport,
-    SingularLocusCurve,
     SurfaceGrid,
     SymplecticReport,
     canal_surface,
@@ -75,7 +74,6 @@ from .surfaces import (
     normal_flatness_residual,
     normal_map,
     parallel_of_tangent,
-    singular_locus_parallel,
     symplectic_pullback_check,
     tangent_map,
     verify_right_equivalence,

@@ -163,13 +163,14 @@ def _gram_deviation(rows: np.ndarray) -> np.ndarray:
     return np.abs(g - np.eye(rows.shape[-2])).max(axis=(-2, -1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _transport(record: GridRecord, seeds, mode, renormalize,
                reverse) -> ParallelFields:
     """RK4 transport of orthonormal seeds over the record's steps, run
     backwards if ``reverse``: the step products give the raw fields, one
     stacked QR projects them against each node's basis if ``renormalize``,
     and the grid is rejected at the first step that moves its start fields
-    off orthonormal by more than the drift limit."""
+    off orthonormal by more than the drift limit or overflows (nan drift)."""
     grid = record.grid
     m, _, basis = _connection(mode, record.nodes)
     m_mid = _connection(mode, record.mids)[0]
@@ -207,8 +208,9 @@ def _transport(record: GridRecord, seeds, mode, renormalize,
         vectors = q[:, :, basis.shape[1]:].swapaxes(1, 2)
     drift = _gram_deviation(np.concatenate([basis[1:], vectors[:-1] @ steps],
                                            axis=1))
-    if (drift > _DRIFT_LIMIT).any():
-        k = int(np.argmax(drift > _DRIFT_LIMIT))  # the first step over it
+    over = ~(drift <= _DRIFT_LIMIT)
+    if over.any():
+        k = int(np.argmax(over))  # the first step over it
         raise GridTooCoarseError(
             f"frame transport step rejected at t={grid[order[k + 1]]}: "
             f"orthonormality drift {drift[k]:.3e} exceeds {_DRIFT_LIMIT:.1e}"
@@ -421,12 +423,12 @@ def _frame_residuals(grid, fp, a, rows: dict, omega: np.ndarray) -> dict:
     return out
 
 
-def structure_residuals_adapted(frame: AdaptedFrame,
-                                profile: InvariantProfile) -> dict:
+def structure_residuals_adapted(frame: AdaptedFrame) -> dict:
     """Max scaled residuals of the tangent-surface frame system
     tau' = kappa mu, mu' = -kappa tau + sum ell_i nu_i, nu_i' = -ell_i mu,
     f' = a tau, with frame derivatives by central differences at interior
     samples."""
+    profile = invariants(frame)
     rows = {"tau": frame.tau, "mu": frame.mu}
     rows.update((f"nu{j + 1}", nu) for j, nu in enumerate(frame.nus))
     omega = np.zeros((len(rows), len(rows), len(frame.grid)))
@@ -436,10 +438,10 @@ def structure_residuals_adapted(frame: AdaptedFrame,
                             rows, omega)
 
 
-def structure_residuals_bishop(fields: ParallelFields,
-                               inv: BishopInvariants) -> dict:
+def structure_residuals_bishop(fields: ParallelFields) -> dict:
     """Max scaled residuals of the curve-normal frame system
     tau' = sum kappa_i nu_i, nu_i' = -kappa_i tau, f' = a tau."""
+    inv = bishop_invariants(fields)
     data = fields.record.nodes
     rows = {"tau": data.tau}
     rows.update((f"nu{j + 1}", nu) for j, nu in enumerate(fields.vectors))

@@ -27,7 +27,6 @@ from .errors import ConfigError, InflectionError, MathPreconditionError
 from .frames import (
     AdaptedFrame,
     GridRecord,
-    InvariantProfile,
     ParallelFields,
     central_difference,
     invariants,
@@ -76,11 +75,6 @@ class SurfaceGrid:
     @property
     def singular_flag(self) -> np.ndarray:
         return self.jac_rank < self.domain_dim
-
-
-def _check_grid_match(grid_a, grid_b, what: str):
-    if not np.array_equal(grid_a, grid_b):
-        raise ValueError(f"{what} must share the frame's parameter grid")
 
 
 def _ruled_map(map_kind, record, axes, terms, rulings, scale=1.0,
@@ -197,12 +191,11 @@ def canal_surface(fields: ParallelFields, r: float,
                       radial[..., None], r)
 
 
-def _check_offsets(frame_or_profile_normals: int, offsets) -> np.ndarray:
+def _check_offsets(n_normals: int, offsets) -> np.ndarray:
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    if offsets.shape != (frame_or_profile_normals,):
+    if offsets.shape != (n_normals,):
         raise ValueError(
-            f"expected {frame_or_profile_normals} offset value(s), "
-            f"got {offsets.shape}"
+            f"expected {n_normals} offset value(s), got {offsets.shape}"
         )
     return offsets
 
@@ -226,33 +219,11 @@ def parallel_of_tangent(frame: AdaptedFrame, offsets, s_grid,
 
 
 @dataclass
-class SingularLocusCurve:
-    """The ruling offset s(t) where a parallel's Jacobian degenerates."""
-
-    grid: np.ndarray
-    s: np.ndarray
-    residuals: np.ndarray  # |s kappa - sum u_i ell_i| per sample
-
-
-def singular_locus_parallel(profile: InvariantProfile,
-                            offsets) -> SingularLocusCurve:
-    """Closed-form singular locus s(t) = sum_i u_i ell_i(t) / kappa(t) of
-    a profile whose kappa passed :func:`zero_kappa` (nowhere 0)."""
-    offsets = _check_offsets(profile.ells.shape[0], offsets)
-    if (profile.kappa == 0.0).any():
-        raise InflectionError(
-            "inflection in range: the singular locus may diverge"
-        )
-    weighted = np.tensordot(offsets, profile.ells, axes=(0, 0))
-    s = weighted / profile.kappa
-    residuals = np.abs(s * profile.kappa - weighted)
-    return SingularLocusCurve(grid=profile.grid, s=s, residuals=residuals)
-
-
-@dataclass
 class Directrix:
     """Edge of regression of a parallel of the tangent developable.
 
+    ``shift`` is the parallel's singular locus s(t) = sum_i u_i ell_i /
+    kappa, the ruling offset of g from f along tau.
     ``tangency_residual`` is the five-point-stencil witness that g' is
     parallel to the shared tangent frame; ``tangency_floor`` estimates
     the stencil's own truncation (from fifth differences of g), which
@@ -265,6 +236,7 @@ class Directrix:
     offsets: np.ndarray
     grid: np.ndarray
     points: np.ndarray
+    shift: np.ndarray
     tangency_residual: float
     tangency_floor: float
 
@@ -290,16 +262,16 @@ def _five_point_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
 
 
-def _edge(frame: AdaptedFrame, ells, kappa, offsets):
+def _edge(frame: AdaptedFrame, offsets):
     """The shift sum_i u_i ell_i / kappa along tau, and the directrix
     g = f + shift tau + sum_i u_i nu_i of the frame's normals."""
-    shift = np.tensordot(offsets, ells, axes=(0, 0)) / kappa
+    ells = invariants(frame).ells
+    shift = np.tensordot(offsets, ells, axes=(0, 0)) / frame.kappa
     g = frame.record.nodes.f + shift[:, None] * frame.tau
     return shift, g + np.tensordot(offsets, frame.nus, axes=(0, 0))
 
 
-def directrix(frame: AdaptedFrame, profile: InvariantProfile,
-              offsets) -> Directrix:
+def directrix(frame: AdaptedFrame, offsets) -> Directrix:
     """g(t) = f(t) + sum_i u_i (ell_i/kappa tau + nu_i).
 
     The defining property (g' parallel to tau) is verified with a
@@ -311,10 +283,9 @@ def directrix(frame: AdaptedFrame, profile: InvariantProfile,
     a false inconsistency alarm.
     """
     offsets = _check_offsets(frame.n_normals, offsets)
-    _check_grid_match(frame.grid, profile.grid, "directrix profile grid")
-    if (profile.kappa == 0.0).any():
+    if (frame.kappa == 0.0).any():
         raise InflectionError("inflection in range: directrix undefined")
-    g = _edge(frame, profile.ells, profile.kappa, offsets)[1]
+    shift, g = _edge(frame, offsets)
 
     residual = floor = np.nan
     h = _stencil_step(frame.grid)
@@ -328,8 +299,9 @@ def directrix(frame: AdaptedFrame, profile: InvariantProfile,
             residual = float((np.linalg.norm(ortho, axis=1) / scale).max())
             floor = 0.0
             if len(frame.grid) >= 7:
-                g5 = np.diff(g, 5, axis=0) / h ** 5
-                floor = h ** 4 / 30.0 * float(np.linalg.norm(g5, axis=1).max())
+                # h^4/30 |g5|/h^5, without h^5 underflowing
+                g5 = np.linalg.norm(np.diff(g, 5, axis=0), axis=1)
+                floor = float(g5.max()) / (30.0 * h)
         limit = max(_TANGENCY_TOL, 4.0 * floor)
         if residual > limit:
             raise MathPreconditionError(
@@ -337,7 +309,7 @@ def directrix(frame: AdaptedFrame, profile: InvariantProfile,
                 f"{limit:.3e}; frame and profile are inconsistent"
             )
     return Directrix(
-        offsets=offsets, grid=frame.grid, points=g,
+        offsets=offsets, grid=frame.grid, points=g, shift=shift,
         tangency_residual=residual, tangency_floor=floor,
     )
 
@@ -351,7 +323,7 @@ def directrix_tangent_map(frame: AdaptedFrame, offsets,
     A directrix without a finite tangency witness is refused.
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    dirx = directrix(frame, invariants(frame), offsets)
+    dirx = directrix(frame, offsets)
     dirx.require_witness()
     if not np.isfinite(dirx.tangency_residual):
         raise MathPreconditionError(
@@ -379,17 +351,14 @@ class RightEquivalenceReport:
     independent_residual: float
 
 
-def verify_right_equivalence(pal: SurfaceGrid, directrix_curve: Directrix,
-                             frame: AdaptedFrame,
-                             profile: InvariantProfile) -> RightEquivalenceReport:
-    if pal.map_kind != "Pal" or pal.ruling != "unit":
-        raise MathPreconditionError(
-            "right-equivalence check needs a unit-ruled parallel grid"
-        )
-    t_grid = pal.axes[0][1]
-    s_grid = pal.axes[1][1]
-    _check_grid_match(t_grid, frame.grid, "right-equivalence t-grid")
-    offsets = directrix_curve.offsets
+def verify_right_equivalence(frame: AdaptedFrame, offsets,
+                             s_grid) -> RightEquivalenceReport:
+    """The :class:`RightEquivalenceReport` of Theorem 2.2 for the
+    unit-ruled parallel with these offsets, over ``s_grid``."""
+    s_grid = np.asarray(s_grid, dtype=float)
+    pal = parallel_of_tangent(frame, offsets, s_grid)
+    dirx = directrix(frame, offsets)
+    dirx.require_witness()
 
     def tan_of(shift, points_g):
         sigma = s_grid[None, :] - shift[:, None]
@@ -399,8 +368,7 @@ def verify_right_equivalence(pal: SurfaceGrid, directrix_curve: Directrix,
         with np.errstate(over="ignore"):
             return float(np.linalg.norm(pal.points - points, axis=-1).max())
 
-    shift = np.tensordot(offsets, profile.ells, axes=(0, 0)) / profile.kappa
-    shared_residual = distance(tan_of(shift, directrix_curve.points))
+    shared_residual = distance(tan_of(dirx.shift, dirx.points))
 
     # independent route: re-transport the normal frame backwards from the
     # far end and rebuild ell, g and the shift from it; renormalization is
@@ -411,8 +379,7 @@ def verify_right_equivalence(pal: SurfaceGrid, directrix_curve: Directrix,
             frame.record, frame.nus[:, -1, :], reverse=True, renormalize=False,
         )
         bar = replace(frame, nus=back.vectors)
-        independent_residual = distance(tan_of(*_edge(
-            bar, invariants(bar).ells, profile.kappa, offsets)))
+        independent_residual = distance(tan_of(*_edge(bar, dirx.offsets)))
     else:
         independent_residual = shared_residual
     return RightEquivalenceReport(

@@ -17,7 +17,6 @@ from frontals.corpus import CORPUS_IDS, get_curve, get_entry
 from frontals.errors import InflectionError
 from frontals.frames import (
     adapted_frame,
-    bishop_invariants,
     bishop_transport,
     grid_record,
     invariants,
@@ -32,8 +31,6 @@ from frontals.surfaces import (
     directrix,
     normal_curvature_r4,
     normal_flatness_residual,
-    parallel_of_tangent,
-    singular_locus_parallel,
     symplectic_pullback_check,
     tangent_map,
     verify_right_equivalence,
@@ -90,11 +87,11 @@ def test_criterion_01_invariant_profile():
 def test_criterion_02_directrix_closed_form():
     entry = get_entry("example22")
     grid = np.linspace(-1.0, 1.0, 201)
-    frame, prof = frame_and_profile(entry, grid)
+    frame, _ = frame_and_profile(entry, grid)
     fn = entry.get("directrix").value
     worst = 0.0
     for u in (0.1, 0.5, -0.7):
-        d = directrix(frame, prof, [u])
+        d = directrix(frame, [u])
         expected = np.array([fn(t, u) for t in grid])
         worst = max(worst, float(np.abs(d.points - expected).max()))
     ok = worst <= 1e-6
@@ -107,11 +104,8 @@ def _equivalence_residual(entry_or_curve, offsets, n_t=201, n_s=101, seed=None):
     curve = getattr(entry_or_curve, "curve", entry_or_curve)
     grid = np.linspace(curve.domain[0], curve.domain[1], n_t)
     frame = adapted_frame(grid_record(curve, grid), nu0=seed)
-    prof = invariants(frame)
     s_grid = np.linspace(-1.0, 1.0, n_s)
-    pal = parallel_of_tangent(frame, offsets, s_grid)
-    d = directrix(frame, prof, offsets)
-    return verify_right_equivalence(pal, d, frame, prof).residual
+    return verify_right_equivalence(frame, offsets, s_grid).residual
 
 
 def test_criterion_03_parallel_right_equivalence():
@@ -124,7 +118,7 @@ def test_criterion_03_parallel_right_equivalence():
     # a resolution where the five-point stencil resolves 1e-5
     fine = fine_grid(cubic)
     frame_f = adapted_frame(grid_record(cubic, fine))
-    d_fine = directrix(frame_f, invariants(frame_f), [0.5])
+    d_fine = directrix(frame_f, [0.5])
     assert d_fine.tangency_residual <= 1e-5
     res_r4 = _equivalence_residual(get_curve("r4curve"), [0.3, -0.2])
     coarse = _equivalence_residual(entry, [0.5], n_t=101, seed=seed)
@@ -179,8 +173,7 @@ def test_criterion_05_inflection_behaviour():
     rows = []
     for grid in (nodes, -nodes[::-1]):
         frame = adapted_frame(grid_record(entry.curve, grid))
-        prof = invariants(frame)
-        measured = np.abs(singular_locus_parallel(prof, [u]).s) / abs(u)
+        measured = np.abs(directrix(frame, [u]).shift) / abs(u)
         oracle = _example23_torsion_over_curvature(grid)
         rel = np.abs(measured - oracle) / oracle
         scaled = measured * np.abs(grid)
@@ -260,10 +253,7 @@ def test_criterion_07_structure_equations():
         spacing = 2.5e-4 if cid == "example21" else SPACING
         grid = fine_grid(entry.curve, spacing)
         fields, _ = bishop_fields(entry, grid)
-        inv = bishop_invariants(fields)
-        worst = max(
-            structure_residuals_bishop(fields, inv).values()
-        )
+        worst = max(structure_residuals_bishop(fields).values())
         ok &= worst <= tol
         details.append(f"{cid} curve-normal {worst:.2e}")
 
@@ -286,10 +276,7 @@ def test_criterion_07_structure_equations():
             grid = np.linspace(sub[0], sub[1], steps)
         seed = entry.frame_seed(grid[0]) if entry.frame_seed else None
         frame = adapted_frame(grid_record(entry.curve, grid), nu0=seed)
-        prof = invariants(frame)
-        worst = max(
-            structure_residuals_adapted(frame, prof).values()
-        )
+        worst = max(structure_residuals_adapted(frame).values())
         ok &= worst <= tol
         details.append(f"{cid} surface-normal {worst:.2e}")
 

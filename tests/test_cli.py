@@ -237,6 +237,19 @@ class TestVerifyCommand:
         assert rc == 0, err
         assert json.loads(out.splitlines()[-1])["pass"] is True
 
+    @pytest.mark.parametrize("check", ["structure", "theorem21"])
+    def test_short_domain_keeps_an_interior_node(self, tmp_path, check):
+        # a span of 1e-3 refines to two nodes at the structure spacing;
+        # the central differences need a third, interior one
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("name = short\ndim = 3\n"
+                       "components = [t, t^2, t^3]\n"
+                       "domain = [0, 0.001]\n", encoding="utf-8")
+        rc, out, err = run_cli(["verify", "--config", str(cfg), "--check",
+                                check, "--t-steps", "2"])
+        assert rc == 0, err
+        assert json.loads(out.splitlines()[-1])["pass"] is True
+
     def test_theorem22_inflection_precondition(self):
         rc, _, err = run_cli([
             "verify", "--curve", "example23", "--check", "theorem22",
@@ -532,6 +545,8 @@ class TestOverflowInputs:
         "scaled-square": ("[t, 1e200*t^2, t^3]", "[-1, 1]"),
         "power-400": ("[t, t^2, t^400]", "[-10, 10]"),
         "squared-scale": ("[t, (1e200*t)^2, t^3]", "[-2e-46, 2e-46]"),
+        # mu' ~ 1/t overflows the RK4 step products into a nan drift
+        "tiny-domain": ("[2*t, 2*t, sin(t)]", "[1e-200, 1e-199]"),
     }
     COMMANDS = [
         ["invariants"],

@@ -279,13 +279,11 @@ class TestStructureResiduals:
         entry = get_entry("circle")
         grid = np.linspace(0.0, 2.0 * math.pi, 6284)
         frame = adapted_frame(grid_record(entry.curve, grid), nu0=entry.frame_seed(grid[0]))
-        prof = invariants(frame)
-        res = structure_residuals_adapted(frame, prof)
+        res = structure_residuals_adapted(frame)
         assert max(res.values()) <= 1e-5
         record = grid_record(entry.curve, grid)
         fields = bishop_transport(record, entry.bishop_seed(grid[0]))
-        inv = bishop_invariants(fields)
-        res2 = structure_residuals_bishop(fields, inv)
+        res2 = structure_residuals_bishop(fields)
         assert max(res2.values()) <= 1e-5
 
     def test_gram_drift_without_renormalization(self):

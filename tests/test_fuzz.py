@@ -22,7 +22,8 @@ from frontals.cli import main
 ATOMS = ("t", "t^2", "t^3", "t^(1/3)", "t^(5/2)", "sin(t)", "cos(t)",
          "exp(t)", "sqrt(1+t^2)", "1/(1+t^2)", "1e-8*t", "exp(-1/t^2)",
          "1e300*t", "1e-300*t", "sin(1e300*t*1e300)")
-DOMAINS = ("[-1, 1]", "[0.1, 1.1]", "[-0.3, 0.7]", "[1, 2]")
+DOMAINS = ("[-1, 1]", "[0.1, 1.1]", "[-0.3, 0.7]", "[1, 2]", "[-1e-8, 1e-8]",
+           "[1e-200, 1e-199]")
 
 # every subcommand, every surface kind and export, every check; OFFSETS
 # is replaced by one --u per normal offset the curve needs

@@ -69,8 +69,12 @@ def test_no_unused_sibling_imports():
 
 def test_frame_objects_are_not_passed_with_their_curve_or_grid():
     # an AdaptedFrame, ParallelFields or GridRecord carries its curve and
-    # grid; a function taking one reads them there
+    # grid; a function taking one reads them there. What is built from a
+    # frame (its invariants, a sampled map, a directrix) is derived by the
+    # function that needs it, never passed back in
     carriers = {"AdaptedFrame", "ParallelFields", "GridRecord"}
+    derived = {"InvariantProfile", "BishopInvariants", "SurfaceGrid",
+               "Directrix"}
     offenders = []
     for name in ("frames.py", "surfaces.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
@@ -84,6 +88,9 @@ def test_frame_objects_are_not_passed_with_their_curve_or_grid():
             if annotations & carriers and (names & {"curve", "t_grid"}
                                            or "Curve" in annotations):
                 offenders.append(f"{name}: {node.name}")
+            if annotations & derived:
+                offenders.append(f"{name}: {node.name} takes "
+                                 f"{sorted(annotations & derived)}")
     assert offenders == []
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from frontals.frames import (
     adapted_frame,
     bishop_transport,
     grid_record,
-    invariants,
 )
 from frontals.frontal import TangentEvaluator, unit_tangent
 from frontals.linalg import batched_rank, ruled_singular_values
@@ -29,7 +29,6 @@ from frontals.surfaces import (
     normal_flatness_residual,
     normal_map,
     parallel_of_tangent,
-    singular_locus_parallel,
     symplectic_pullback_check,
     tangent_map,
     verify_right_equivalence,
@@ -200,27 +199,22 @@ class TestSingularLocus:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 101)
         frame = build_frame(entry, t)
-        prof = invariants(frame)
-        locus = singular_locus_parallel(prof, [0.5])
-        assert np.abs(locus.s - 0.5).max() <= 1e-9
-        assert locus.residuals.max() <= 1e-8
+        shift = directrix(frame, [0.5]).shift
+        assert np.abs(shift - 0.5).max() <= 1e-9
 
     def test_zero_offset_gives_cuspidal_edge(self):
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 51)
         frame = build_frame(entry, t)
-        prof = invariants(frame)
-        locus = singular_locus_parallel(prof, [0.0])
-        assert np.abs(locus.s).max() == 0.0
+        shift = directrix(frame, [0.0]).shift
+        assert np.abs(shift).max() == 0.0
 
     def test_divergence_near_inflection(self):
         # |s(t)/u| frozen from the torsion/curvature ratio 864 a^3/(|t| D^3)
         entry = get_entry("example23")
         grid = np.array([1e-3, 1e-2, 0.1, 0.5, 1.0])
         frame = adapted_frame(grid_record(entry.curve, grid))
-        prof = invariants(frame)
-        locus = singular_locus_parallel(prof, [0.5])
-        ratio = np.abs(locus.s) / 0.5
+        ratio = np.abs(directrix(frame, [0.5]).shift) / 0.5
         assert ratio[0] == pytest.approx(
             entry.get("locus_ratio@1e-3").value, rel=1e-6
         )
@@ -232,10 +226,9 @@ class TestSingularLocus:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 21)
         frame = build_frame(entry, t)
-        prof = invariants(frame)
-        prof.kappa[3] = 0.0
+        frame.record.nodes.kappa[3] = 0.0
         with pytest.raises(InflectionError):
-            singular_locus_parallel(prof, [0.5])
+            directrix(frame, [0.5])
 
     def test_matches_bisection_on_sampled_jacobian(self):
         # independent route: bisect the signed degeneracy indicator of the
@@ -243,8 +236,7 @@ class TestSingularLocus:
         entry = get_entry("example22")
         t_grid = np.linspace(-1, 1, 41)
         frame = build_frame(entry, t_grid)
-        prof = invariants(frame)
-        locus = singular_locus_parallel(prof, [0.3])
+        shift = directrix(frame, [0.3]).shift
         curve = entry.curve
         from frontals.frames import TangentEvaluator
 
@@ -271,7 +263,7 @@ class TestSingularLocus:
                     hi = mid
                 else:
                     lo, flo = mid, indicator(i, mid)
-            assert abs(0.5 * (lo + hi) - locus.s[i]) <= 2 * spacing
+            assert abs(0.5 * (lo + hi) - shift[i]) <= 2 * spacing
 
 
 class TestDirectrix:
@@ -279,9 +271,8 @@ class TestDirectrix:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 201)
         frame = build_frame(entry, t)
-        prof = invariants(frame)
         for u in (0.1, 0.5, -0.7):
-            d = directrix(frame, prof, [u])
+            d = directrix(frame, [u])
             fn = entry.get("directrix").value
             expected = np.array([fn(ti, u) for ti in t])
             assert np.abs(d.points - expected).max() <= 1e-6
@@ -291,7 +282,7 @@ class TestDirectrix:
         c = ExprCurve.from_sources("far", ("cos(t)", "sin(t)", "t"),
                                    (1000.0, 1001.0))
         frame = adapted_frame(grid_record(c, np.linspace(1000, 1001, 2001)))
-        d = directrix(frame, invariants(frame), [0.5])
+        d = directrix(frame, [0.5])
         assert 0.0 < d.tangency_residual <= 1e-9
 
     def test_nothing_witnessed_on_nonuniform_grid(self):
@@ -300,7 +291,7 @@ class TestDirectrix:
         entry = get_entry("example22")
         t = np.sort(np.append(np.linspace(-1, 1, 201), 0.0051))
         frame = build_frame(entry, t)
-        d = directrix(frame, invariants(frame), [0.5])
+        d = directrix(frame, [0.5])
         assert np.isnan(d.tangency_residual) and np.isnan(d.tangency_floor)
         with pytest.raises(MathPreconditionError, match="uniform grid"):
             d.require_witness()
@@ -309,20 +300,19 @@ class TestDirectrix:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 51)
         frame = build_frame(entry, t)
-        prof = invariants(frame)
-        d = directrix(frame, prof, [0.0])
+        d = directrix(frame, [0.0])
         assert np.abs(d.points - closed_form_points(entry, t)).max() <= 1e-14
 
     def test_inconsistent_profile_rejected(self):
-        # corrupting the torsion profile breaks g' parallel tau by O(1),
-        # far above the stencil's truncation floor
+        # turning the normal toward mu by 0.3 sin 5t breaks g' parallel
+        # tau by O(1), far above the stencil's truncation floor
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 101)
         frame = build_frame(entry, t)
-        prof = invariants(frame)
-        prof.ells[0] = prof.ells[0] + 0.3 * np.sin(5.0 * t)
+        angle = (0.3 * np.sin(5.0 * t))[:, None]
+        nus = np.cos(angle) * frame.nus + np.sin(angle) * frame.mu
         with pytest.raises(MathPreconditionError, match="tangency"):
-            directrix(frame, prof, [0.5])
+            directrix(replace(frame, nus=nus), [0.5])
 
     def test_not_a_parallel_curve_for_nonzero_offset(self):
         # a parallel curve differs from f by a constant combination of
@@ -330,11 +320,10 @@ class TestDirectrix:
         entry = get_entry("example22")
         t = np.linspace(-1, 1, 101)
         frame = build_frame(entry, t)
-        prof = invariants(frame)
         fields = build_bishop(entry, t)
 
         def best_constant_offset_residual(u):
-            d = directrix(frame, prof, [u])
+            d = directrix(frame, [u])
             disp = d.points - closed_form_points(entry, t)
             coeffs = [np.mean(np.sum(disp * fields.vectors[i], axis=1))
                       for i in range(2)]
@@ -351,10 +340,7 @@ class TestRightEquivalence:
         t = np.linspace(-1, 1, 201)
         s = np.linspace(-1, 1, 101)
         frame = build_frame(entry, t)
-        prof = invariants(frame)
-        pal = parallel_of_tangent(frame, [0.5], s)
-        d = directrix(frame, prof, [0.5])
-        report = verify_right_equivalence(pal, d, frame, prof)
+        report = verify_right_equivalence(frame, [0.5], s)
         assert report.residual <= 1e-6
 
     def test_zero_offset_identical_maps(self):
@@ -362,10 +348,7 @@ class TestRightEquivalence:
         t = np.linspace(-1, 1, 51)
         s = np.linspace(-1, 1, 21)
         frame = build_frame(entry, t)
-        prof = invariants(frame)
-        pal = parallel_of_tangent(frame, [0.0], s)
-        d = directrix(frame, prof, [0.0])
-        report = verify_right_equivalence(pal, d, frame, prof)
+        report = verify_right_equivalence(frame, [0.0], s)
         assert report.residual <= 1e-12
 
     def test_generic_space_curve(self):
@@ -373,10 +356,7 @@ class TestRightEquivalence:
         t = np.linspace(0.0, 2.0 * math.pi, 201)
         s = np.linspace(-1, 1, 31)
         frame = build_frame(entry, t)
-        prof = invariants(frame)
-        pal = parallel_of_tangent(frame, [0.3], s)
-        d = directrix(frame, prof, [0.3])
-        report = verify_right_equivalence(pal, d, frame, prof)
+        report = verify_right_equivalence(frame, [0.3], s)
         assert report.residual <= 1e-5
 
     def test_residual_at_least_halves_with_spacing(self):
@@ -384,27 +364,11 @@ class TestRightEquivalence:
         s = np.linspace(-1, 1, 21)
 
         def residual(n):
-            t = np.linspace(-1, 1, n)
-            frame = build_frame(entry, t)
-            prof = invariants(frame)
-            pal = parallel_of_tangent(frame, [0.5], s)
-            d = directrix(frame, prof, [0.5])
-            return verify_right_equivalence(pal, d, frame, prof).residual
+            frame = build_frame(entry, np.linspace(-1, 1, n))
+            return verify_right_equivalence(frame, [0.5], s).residual
 
         coarse, fine = residual(101), residual(201)
         assert fine <= coarse / 2.0
-
-    def test_rejects_derivative_ruling(self):
-        entry = get_entry("example22")
-        t = np.linspace(-1, 1, 21)
-        s = np.linspace(-1, 1, 11)
-        frame = build_frame(entry, t)
-        prof = invariants(frame)
-        pal = parallel_of_tangent(frame, [0.5], s,
-                                  ruling="derivative")
-        d = directrix(frame, prof, [0.5])
-        with pytest.raises(MathPreconditionError):
-            verify_right_equivalence(pal, d, frame, prof)
 
 
 class TestSymplecticPullback:
