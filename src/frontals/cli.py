@@ -319,7 +319,8 @@ def _verify_structure(ctx, args, tol):
     if frame is not None:
         for key, val in structure_residuals_adapted(frame).items():
             residuals[f"surface_normal.{key}"] = val
-    worst = max(residuals.values())
+    # np.max, unlike max, keeps a nan residual, which then fails
+    worst = float(np.max(list(residuals.values())))
     lines = [f"  {key}: {residuals[key]:.6e}" for key in sorted(residuals)]
     lines.append(f"  worst residual {worst:.6e} (tolerance {tol:.1e})")
     return _Report(worst, lines,

@@ -401,8 +401,10 @@ def central_difference(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _scaled_max(residual_rows: np.ndarray, derivative_rows: np.ndarray) -> float:
-    scale = np.maximum(1.0, np.linalg.norm(derivative_rows, axis=-1))
-    return float((np.linalg.norm(residual_rows, axis=-1) / scale).max())
+    # rows that overflow give inf or nan, which the max keeps
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, np.linalg.norm(derivative_rows, axis=-1))
+        return float((np.linalg.norm(residual_rows, axis=-1) / scale).max())
 
 
 def _frame_residuals(grid, fp, a, rows: dict, omega: np.ndarray) -> dict:

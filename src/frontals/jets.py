@@ -165,8 +165,11 @@ def _pointwise(fn, row):
 
 def _mul_rows(a, b):
     n = len(a)
-    out = np.zeros(a.shape)
     live = a != 0.0
+    if n == 1 and live.all():
+        # the one product of the loop below, which adds it to 0.0
+        return 0.0 + a * b
+    out = np.zeros(a.shape)
     size = live[0].size
     for i, count in enumerate(live.reshape(n, -1).sum(axis=1).tolist()):
         if count == size:
@@ -308,11 +311,14 @@ def jet_pow(a: Jet, exponent) -> Jet:
             return constant(1.0, a.base, a.order)
         if n < 0:
             return jet_div(constant(1.0, a.base, a.order), jet_pow(a, -n))
-        result = constant(1.0, a.base, a.order)
+        result = None
         square = a
         while n:
             if n & 1:
-                result = jet_mul(result, square)
+                # the first factor is the product 1 * square would give:
+                # its -0.0 coefficients turn 0.0
+                result = (a._new(square.coeffs + 0.0) if result is None
+                          else jet_mul(result, square))
             n >>= 1
             if n:
                 square = jet_mul(square, square)

@@ -226,11 +226,11 @@ class Directrix:
     kappa, the ruling offset of g from f along tau.
     ``tangency_residual`` is the five-point-stencil witness that g' is
     parallel to the shared tangent frame; ``tangency_floor`` estimates
-    the stencil's own truncation (from fifth differences of g), which
-    bounds how small the witness can be at the sampled resolution. Both
-    are nan on a grid the stencil cannot run on (fewer than five nodes,
-    or not uniform), and the residual is nan when g overflows: then
-    nothing is witnessed.
+    the stencil's own error, its truncation (from fifth differences of
+    g) plus its rounding, which bounds how small the witness can be at
+    the sampled resolution. Both are nan on a grid the stencil cannot
+    run on (fewer than five nodes, or not uniform), and the residual is
+    nan when g overflows: then nothing is witnessed.
     """
 
     offsets: np.ndarray
@@ -277,10 +277,12 @@ def directrix(frame: AdaptedFrame, offsets) -> Directrix:
     The defining property (g' parallel to tau) is verified with a
     five-point stencil on the interior samples. Enforcement threshold is
     ``max(_TANGENCY_TOL, 4 * stencil floor)`` relative to max(1, |g'|):
-    the stencil cannot witness tangency below its own O(h^4) truncation,
-    which is estimated from fifth differences of the sampled g, so a
-    coarse grid on a wiggly curve loosens the gate instead of producing
-    a false inconsistency alarm.
+    the stencil cannot witness tangency below its own error, so a coarse
+    grid on a wiggly curve, or a step so short that the stencil only
+    differences rounding, loosens the gate instead of producing a false
+    inconsistency alarm. The floor is the O(h^4) truncation, estimated
+    from fifth differences of the sampled g, plus the rounding of the
+    stencil's weighted sum, 1.5 eps max|g| / h.
     """
     offsets = _check_offsets(frame.n_normals, offsets)
     if (frame.kappa == 0.0).any():
@@ -297,11 +299,12 @@ def directrix(frame: AdaptedFrame, offsets) -> Directrix:
             ortho = gp - (np.sum(gp * tau_in, axis=1)[:, None]) * tau_in
             scale = np.maximum(1.0, np.linalg.norm(gp, axis=1))
             residual = float((np.linalg.norm(ortho, axis=1) / scale).max())
-            floor = 0.0
+            eps = np.finfo(float).eps
+            floor = 1.5 * eps * float(np.linalg.norm(g, axis=1).max()) / h
             if len(frame.grid) >= 7:
                 # h^4/30 |g5|/h^5, without h^5 underflowing
                 g5 = np.linalg.norm(np.diff(g, 5, axis=0), axis=1)
-                floor = float(g5.max()) / (30.0 * h)
+                floor += float(g5.max()) / (30.0 * h)
         limit = max(_TANGENCY_TOL, 4.0 * floor)
         if residual > limit:
             raise MathPreconditionError(

@@ -209,6 +209,30 @@ class TestVerifyCommand:
         assert proc.returncode == 2 and "FAIL" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_nan_residual_fails(self, tmp_path, recwarn):
+        # over a step of 7.5e-201 the frame's difference quotients
+        # overflow, and mu' leaves a nan residual behind finite ones
+        cfg = _write_config(tmp_path / "c.cfg", ["t^2", "1/(1+t^2)"],
+                            "[1e-200, 1e-199]", 13)
+        log = tmp_path / "log.jsonl"
+        rc, out, _ = run_cli(["verify", "--config", cfg, "--check",
+                              "structure", "--out", str(log)])
+        assert rc == 2 and "FAIL" in out
+        assert "worst residual nan" in out
+        record = json.loads(log.read_text())
+        assert record["pass"] is False and record["residual"] == "nan"
+        assert not [w for w in recwarn
+                    if issubclass(w.category, RuntimeWarning)]
+
+    def test_directrix_tangency_counts_stencil_rounding(self, tmp_path):
+        # at h = 6.25e-72 the five-point stencil differences only the
+        # rounding of g, which the tangency floor counts
+        cfg = _write_config(tmp_path / "c.cfg", ["cos(t)", "sin(t)", "t"],
+                            "[0, 1e-70]", 17)
+        rc, out, err = run_cli(["verify", "--config", cfg, "--check",
+                                "theorem22", "--u", "0.5"])
+        assert rc == 0 and "PASS" in out, err
+
     @pytest.mark.parametrize("command", [
         ["verify", "--check", "theorem22"],
         ["surface", "--kind", "directrix-tan"],

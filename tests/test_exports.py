@@ -1,10 +1,15 @@
 """The array-level writers against per-cell reference formatters."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frontals import exports
+from frontals.cli import main
 from frontals.exports import (
     csv_lines,
     jsonl_line,
@@ -66,33 +71,111 @@ def awkward_grid(shape, dim, seed):
                        jac_rank=ranks)
 
 
-@pytest.mark.parametrize("shape, dim", [((4, 5), 3), ((3, 2, 4, 3), 4)],
-                         ids=["2-axis", "4-axis"])
+@pytest.mark.parametrize("shape, dim",
+                         [((4, 5), 3), ((3, 2, 4, 3), 4), ((20, 30), 3)],
+                         ids=["2-axis", "4-axis", "2-axis-large"])
 def test_surface_csv_matches_per_cell_formatter(shape, dim):
     grid = awkward_grid(shape, dim, seed=len(shape))
-    assert surface_csv_lines(grid) == reference_csv(grid)
+    assert "\n".join(surface_csv_lines(grid)) == "\n".join(reference_csv(grid))
 
 
 def test_surface_obj_matches_per_cell_formatter():
-    grid = awkward_grid((4, 5), 3, seed=7)
-    lines = surface_obj_lines(grid)
-    assert lines == reference_obj(grid)
-    assert any(line.startswith("# singular") for line in lines)
+    # the small grid goes through repr alone, the large one the kernel
+    for shape in [(4, 5), (30, 40)]:
+        grid = awkward_grid(shape, 3, seed=7)
+        text = "\n".join(surface_obj_lines(grid))
+        assert text == "\n".join(reference_obj(grid))
+        assert "\n# singular" in text
 
 
 def test_obj_of_a_single_row_has_no_faces():
     grid = awkward_grid((1, 4), 3, seed=3)
-    lines = surface_obj_lines(grid)
-    assert lines == reference_obj(grid)
-    assert not any(line.startswith("f ") for line in lines)
+    text = "\n".join(surface_obj_lines(grid))
+    assert text == "\n".join(reference_obj(grid))
+    assert "\nf " not in text
 
 
 def test_csv_lines_appends_integer_column():
     values = np.array([[-0.0, 0.1 + 0.2], [1e-300, 2.0]])
-    assert csv_lines(["a", "b", "r"], values, np.array([2, 1])) == [
-        "a,b,r", "-0.0,0.30000000000000004,2", "1e-300,2.0,1"]
-    assert csv_lines(["a", "b"], values) == [
-        "a,b", "-0.0,0.30000000000000004", "1e-300,2.0"]
+    assert "\n".join(csv_lines(["a", "b", "r"], values, np.array([2, 1]))) == (
+        "a,b,r\n-0.0,0.30000000000000004,2\n1e-300,2.0,1")
+    assert "\n".join(csv_lines(["a", "b"], values)) == (
+        "a,b\n-0.0,0.30000000000000004\n1e-300,2.0")
+
+
+def column_text(values):
+    """The cells of a one-column CSV of ``values``, one per line."""
+    values = np.asarray(values, dtype=float)
+    return "\n".join(csv_lines(["x"], values[:, None])).split("\n")[1:]
+
+
+def fast_range_bits():
+    # every exponent from below 1e-4 to above 1e15, either sign
+    return st.builds(lambda sign, exponent, mantissa:
+                     sign << 63 | exponent << 52 | mantissa,
+                     st.integers(0, 1), st.integers(1007, 1074),
+                     st.integers(0, (1 << 52) - 1))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, (1 << 64) - 1), fast_range_bits()),
+                min_size=1, max_size=40))
+def test_float_cells_are_repr_of_any_bit_pattern(bits):
+    # repeated up to the size the kernel takes
+    values = np.resize(np.array(bits, dtype=np.uint64).view(np.float64),
+                       max(len(bits), exports._KERNEL_MIN))
+    assert column_text(values) == list(map(float.__repr__, values.tolist()))
+
+
+def edge_values():
+    def around(x):
+        return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+    tens = [v for e in range(-6, 18) for v in around(float(f"1e{e}"))]
+    # every power of two in the kernel's range, and just outside it
+    twos = [v for k in range(-15, 51) for v in around(2.0 ** k)]
+    # exact 15-, 16- and 17-digit rounding ties; repr rounds the last two
+    # 16-digit ones to an even digit
+    ties = [100000000000000.5, 123456789012345.25, 100000000000000.125,
+            600000000000000.25, 600000000000000.75, 0.5, 2.5, 1.5e-4]
+    special = [0.0, np.nan, np.inf, 5e-324, 1.7976931348623157e308]
+    return np.array(tens + twos + ties + special
+                    + [v for x in (1e-4, 1e15, 2.0 ** 53) for v in around(x)])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_float_cells_are_repr_at_the_edges(sign):
+    values = sign * edge_values()
+    assert len(values) >= exports._KERNEL_MIN
+    assert column_text(values) == list(map(float.__repr__, values.tolist()))
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_rows_straddling_a_block_are_unchanged(columns):
+    # a block holds this many rows of the columns and the ranks
+    rows = exports._BLOCK_CELLS // (columns + 1) + 1
+    values = np.random.default_rng(5).normal(0.0, 0.3, (rows, columns))
+    values[::7] = np.round(values[::7], 3)
+    ranks = np.arange(rows) % 4
+    blocks = csv_lines(["a"] * columns + ["r"], values, ranks)
+    assert len(blocks) == 3
+    assert not any(block.endswith("\n") for block in blocks)
+    assert "\n".join(blocks).split("\n")[1:] == [
+        ",".join([*map(repr, row.tolist()), str(rank)])
+        for row, rank in zip(values, ranks)]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--curve", "r4curve", "--kind", "nor", "--export", "csv"],
+     "b2473d55cfee0b96fa01bb4967a50e321c74a6673b8e9ec04b5b1fe4e03aaaa7"),
+    (["--curve", "example22", "--kind", "tan", "--export", "obj"],
+     "2215fcc14b72e6021fd006d0919ed41318ea9bf2bfb5bbbaa24308fcb9ef10b6"),
+], ids=["r4curve-nor-csv", "example22-tan-obj"])
+def test_surface_export_digest_is_pinned(tmp_path, argv, digest):
+    # recorded from the per-cell repr writer that the kernel replaced
+    out = tmp_path / "surface.out"
+    assert main(["surface", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_jsonl_non_finite_values_are_strings():

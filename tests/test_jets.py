@@ -96,6 +96,18 @@ class TestElementary:
         out = jet_pow(variable(0.0, 4), 3)
         assert out.coeffs == pytest.approx((0.0, 0.0, 0.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_power_keeps_the_product_signed_zeros(self, order):
+        # binary powering used to start from the constant 1, and 1 * a
+        # turned -0.0 into 0.0; the powers stay so, bit for bit
+        a = Jet(np.array([0.5, 1.5]), np.array(
+            [[-0.0, 2.0], [1.0, -0.0], [-0.0, -0.0]])[:order + 1])
+        first = jet_mul(constant(1.0, a.base, order), a)
+        assert not np.signbit(first.coeffs).any()
+        assert jet_pow(a, 1).coeffs.tobytes() == first.coeffs.tobytes()
+        assert jet_pow(a, 3).coeffs.tobytes() == jet_mul(
+            first, jet_mul(a, a)).coeffs.tobytes()
+
 
 class TestDerivative:
     def test_second_derivative_of_square(self):
