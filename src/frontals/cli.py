@@ -20,7 +20,8 @@ import numpy as np
 
 from . import corpus
 from .config import GridSpec, load_config
-from .errors import ConfigError, MathPreconditionError
+from .errors import (ConfigError, MathPreconditionError,
+                     TangentUndeterminedError)
 from .exports import (
     csv_lines,
     jsonl_line,
@@ -372,18 +373,20 @@ def cmd_frontality(args) -> int:
         for rep in reports
     ]
     all_sufficient = all(rep.frontal_sufficient for rep in reports)
-    tf = unit_tangent(curve, ctx.t_grid, k_max=args.k_max)
-    if tf.sign_flips:
-        flips = ", ".join(map(repr, tf.grid[list(tf.sign_flips)].tolist()))
-        lines.append(f"tangent-line representative sign flips near t = {flips}")
-    else:
-        lines.append("tangent-line representative has no sign flips")
+    determined = True
+    try:
+        tf = unit_tangent(curve, ctx.t_grid, k_max=args.k_max)
+        at = ", ".join(map(repr, tf.grid[list(tf.sign_flips)].tolist()))
+        tangent = f"sign flips near t = {at}" if at else "has no sign flips"
+    except TangentUndeterminedError as exc:  # the rank lines still stand
+        tangent, determined = f"undetermined: {exc}", False
+    lines.append(f"tangent-line representative {tangent}")
     lines.append(
         "summary: rank 2 attained at "
         f"{'all' if all_sufficient else 'NOT all'} sampled points"
     )
     write_lines(lines, args.out or sys.stdout)
-    return 0 if all_sufficient else 2
+    return 0 if all_sufficient and determined else 2
 
 
 # ---------------------------------------------------------------------------

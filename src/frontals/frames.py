@@ -22,12 +22,12 @@ is read by everything built on that grid: both transports (forward or
 reverse), the adapted frame, the invariants, the structure residuals
 and the surfaces. Batched matrix products turn its node and midpoint
 rows into every step's matrix ``P_n`` (one step is ``y -> y P_n``). The
-chained products give the raw fields, one stacked QR renormalizes them
-against every node's basis, and one batched Gram check rejects a grid
-whose step drift exceeds the limit. The same ``M`` gives the fields'
-exact derivatives at the nodes, their off-grid values by short RK4
-steps, and, as the coefficients ``nu_i . b``, the invariants ell_i and
-kappa_i.
+chained products give the raw fields, one stacked Gram-Schmidt
+renormalizes them against every node's basis, and one batched Gram check
+rejects a grid whose step drift exceeds the limit. The same ``M`` gives
+the fields' exact derivatives at the nodes, their off-grid values by
+short RK4 steps, and, as the coefficients ``nu_i . b``, the invariants
+ell_i and kappa_i.
 
 Tangent and frame derivatives come from jets of the curve (exact at the
 evaluation points), not from grid differencing; only fields that exist
@@ -53,7 +53,7 @@ from .frontal import (
     unit_tangent,
 )
 from .jets import Jet, jet_mul
-from .linalg import orthonormal_completion
+from .linalg import gram_deviation, gram_schmidt, orthonormal_completion
 
 # stays bound in this module, where the benchmark harness's tests look it up
 unit_tangent = unit_tangent
@@ -157,20 +157,15 @@ class ParallelFields:
         return out
 
 
-def _gram_deviation(rows: np.ndarray) -> np.ndarray:
-    """Largest |G - I| of each Gram matrix of a stack of rows (..., r, dim)."""
-    g = rows @ np.swapaxes(rows, -1, -2)
-    return np.abs(g - np.eye(rows.shape[-2])).max(axis=(-2, -1))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _transport(record: GridRecord, seeds, mode, renormalize,
                reverse) -> ParallelFields:
     """RK4 transport of orthonormal seeds over the record's steps, run
     backwards if ``reverse``: the step products give the raw fields, one
-    stacked QR projects them against each node's basis if ``renormalize``,
-    and the grid is rejected at the first step that moves its start fields
-    off orthonormal by more than the drift limit or overflows (nan drift)."""
+    stacked Gram-Schmidt orthonormalizes them against each node's basis if
+    ``renormalize`` (a vanished field becomes a zero row), and the grid is
+    rejected at the first step that moves its start fields off orthonormal
+    by more than the drift limit or overflows (nan drift)."""
     grid = record.grid
     m, _, basis = _connection(mode, record.nodes)
     m_mid = _connection(mode, record.mids)[0]
@@ -182,7 +177,7 @@ def _transport(record: GridRecord, seeds, mode, renormalize,
     else:
         steps = _step_matrices(h, m[:-1], m_mid, m[1:])
     basis = basis[order]
-    if _gram_deviation(basis[0]).max() > _SEED_ORTHO_TOL:
+    if gram_deviation(basis[0]) > _SEED_ORTHO_TOL:
         nodes, start = record.nodes, order[0]
         raise MathPreconditionError(
             f"frame at the start point t={float(grid[start])} is not "
@@ -191,7 +186,7 @@ def _transport(record: GridRecord, seeds, mode, renormalize,
             f"{abs(float(nodes.tau[start] @ nodes.mu[start])):.3e}"
         )
     y = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if _gram_deviation(np.concatenate([basis[0], y])).max() > _SEED_ORTHO_TOL:
+    if gram_deviation(np.concatenate([basis[0], y])) > _SEED_ORTHO_TOL:
         raise ValueError(
             f"initial {mode.replace('_', '-')} vectors must be orthonormal "
             f"and orthogonal to the frame at the start point (tolerance "
@@ -202,12 +197,9 @@ def _transport(record: GridRecord, seeds, mode, renormalize,
     for n, step in enumerate(steps):
         vectors[n + 1] = vectors[n] @ step
     if renormalize:
-        q, r = np.linalg.qr(np.concatenate([basis, vectors], 1).swapaxes(1, 2))
-        # diag R signs the columns; a vanished one is zeroed and fails below
-        q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-        vectors = q[:, :, basis.shape[1]:].swapaxes(1, 2)
-    drift = _gram_deviation(np.concatenate([basis[1:], vectors[:-1] @ steps],
-                                           axis=1))
+        vectors = gram_schmidt(vectors, basis, 0.0)
+    drift = gram_deviation(np.concatenate([basis[1:], vectors[:-1] @ steps],
+                                          axis=1))
     over = ~(drift <= _DRIFT_LIMIT)
     if over.any():
         k = int(np.argmax(over))  # the first step over it
@@ -218,7 +210,7 @@ def _transport(record: GridRecord, seeds, mode, renormalize,
     return ParallelFields(
         vectors=np.ascontiguousarray(vectors[order].swapaxes(0, 1)),
         record=record, mode=mode, gram_drift_max=float(drift.max(initial=0.0)),
-        final_gram_dev=float(_gram_deviation(
+        final_gram_dev=float(gram_deviation(
             np.concatenate([basis[-1], vectors[-1]]))),
     )
 
@@ -263,10 +255,6 @@ class AdaptedFrame:
     @property
     def n_normals(self) -> int:
         return self.nus.shape[0]
-
-    def gram_deviation(self) -> float:
-        return float(_gram_deviation(
-            np.stack([self.tau, self.mu, *self.nus], axis=1)).max())
 
 
 def zero_kappa(nodes: TangentData) -> np.ndarray:

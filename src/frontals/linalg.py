@@ -1,6 +1,6 @@
 """Small numerical linear-algebra helpers: tolerance-based ranks,
-closed-form singular values of ruled Jacobians, Gram-Schmidt with
-pivoting."""
+closed-form singular values of ruled Jacobians, and the stacked
+Gram-Schmidt and Gram check of every orthonormal frame."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from .errors import MathPreconditionError
 DEFAULT_RANK_TOL = 1e-9
 #: largest |V^T V - I| entry of ruling columns taken as orthonormal
 _RULING_ORTHO_TOL = 1e-12
+_COMPLETION_PIVOT_TOL = 1e-6
 
 
 def singular_value_rank(sv: np.ndarray, tol: float = DEFAULT_RANK_TOL,
@@ -55,8 +56,7 @@ def ruled_singular_values(c: np.ndarray, v: np.ndarray,
     :class:`MathPreconditionError`.
     """
     v = np.asarray(v, dtype=float)
-    q = v.shape[-1]
-    deviation = np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(q)).max()
+    deviation = gram_deviation(np.swapaxes(v, -1, -2)).max()
     if not deviation <= _RULING_ORTHO_TOL:
         raise MathPreconditionError(
             f"ruling columns deviate from orthonormal by {deviation:.3e} "
@@ -77,36 +77,51 @@ def ruled_singular_values(c: np.ndarray, v: np.ndarray,
     smin /= np.where(smax > 0.0, smax, 1.0)
     d = np.broadcast_to(d, smax.shape)
     with np.errstate(over="ignore"):  # a norm past the float range is inf
-        return scale[..., None] * np.stack([smax, *[d] * (q - 1), smin], -1)
+        return scale[..., None] * np.stack(
+            [smax, *[d] * (v.shape[-1] - 1), smin], -1)
 
 
-def gram_schmidt(vectors, against=(), pivot_tol: float = 1e-6):
-    """Orthonormalize ``vectors`` against ``against`` and each other.
+def gram_deviation(rows: np.ndarray) -> np.ndarray:
+    """Largest |G - I| of the Gram matrix G of each stack of rows."""
+    g = np.einsum("...id,...jd->...ij", rows, rows)
+    return np.abs(g - np.eye(rows.shape[-2])).max(axis=(-2, -1))
 
-    Each vector is projected twice, which leaves it orthogonal to the
-    basis to rounding however much the first pass cancelled ("twice is
-    enough": Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
-    Vectors whose residual after projection falls below pivot_tol are
-    skipped; the survivors are returned in input order.
+
+def project_off(vectors, rows) -> np.ndarray:
+    """``vectors`` (..., m, dim) less their parts along the orthonormal or
+    zero ``rows`` (..., r, dim): one classical Gram-Schmidt pass."""
+    coeffs = np.einsum("...md,...rd->...mr", vectors, rows)
+    return vectors - np.einsum("...mr,...rd->...md", coeffs, rows)
+
+
+def gram_schmidt(vectors, against, pivot_tol: float) -> np.ndarray:
+    """Orthonormalize the rows of ``vectors`` (..., m, dim) in order
+    against the orthonormal rows ``against`` (..., r, dim) and each
+    other, stacks broadcast together. Each row is projected twice, which
+    leaves it orthogonal to the basis to rounding however much the first
+    pass cancelled ("twice is enough": Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 2005). A row left no longer than ``pivot_tol``
+    becomes a zero row and a nan row stays nan. Norms are not rescaled:
+    rows shorter than about 1e-154, whose squares underflow, lose accuracy.
     """
-    basis = [np.asarray(a, dtype=float) for a in against]
-    out = []
-    for v in vectors:
-        w = np.asarray(v, dtype=float).copy()
-        for b in basis * 2:
-            w -= np.dot(w, b) * b
-        norm = np.linalg.norm(w)
-        if norm > pivot_tol:
-            w /= norm
-            basis.append(w)
-            out.append(w)
-    return out
+    vectors = np.asarray(vectors, dtype=float)
+    basis = np.asarray(against, dtype=float)
+    for j in range(vectors.shape[-2]):
+        w = project_off(project_off(vectors[..., j:j + 1, :], basis), basis)
+        norm = np.sqrt(np.einsum("...d,...d->...", w, w))[..., None]
+        w = np.divide(w, norm, out=np.zeros_like(w),
+                      where=~(norm <= pivot_tol))
+        basis = np.concatenate(
+            [np.broadcast_to(basis, w.shape[:-2] + basis.shape[-2:]), w], -2)
+    return basis[..., np.shape(against)[-2]:, :]
 
 
-def orthonormal_completion(against, dim: int, count: int, pivot_tol: float = 1e-6):
-    """First ``count`` standard-basis vectors orthonormalized against
-    ``against`` (deterministic canonical completion)."""
-    survivors = gram_schmidt(np.eye(dim), against=against, pivot_tol=pivot_tol)
+def orthonormal_completion(against, dim: int, count: int) -> np.ndarray:
+    """The first ``count`` standard-basis vectors that Gram-Schmidt against
+    ``against`` leaves longer than ``_COMPLETION_PIVOT_TOL``, normalized."""
+    rows = gram_schmidt(np.eye(dim), np.reshape(against, (-1, dim)),
+                        _COMPLETION_PIVOT_TOL)
+    survivors = rows[(rows != 0.0).any(axis=-1)]
     if len(survivors) < count:
         raise ValueError("could not complete an orthonormal frame")
     return survivors[:count]

@@ -33,7 +33,8 @@ from .frames import (
     surface_normal_transport,
     uniform_step,
 )
-from .linalg import ruled_singular_values, singular_value_rank
+from .linalg import (gram_deviation, gram_schmidt, project_off,
+                     ruled_singular_values, singular_value_rank)
 
 RULINGS = ("unit", "derivative")
 
@@ -42,6 +43,9 @@ _TANGENCY_TOL = 1e-5
 #: smallest Jacobian singular value of a tangent-map node whose normal
 #: flatness is checked
 _FLATNESS_EXCLUSION = 1e-7
+_CURVATURE_FD_STEP = 1e-4
+_CURVATURE_FRAME_TOL = 1e-8
+_CURVATURE_AREA_TOL = 1e-12
 
 
 @dataclass
@@ -295,8 +299,7 @@ def directrix(frame: AdaptedFrame, offsets) -> Directrix:
         # an overflowing directrix leaves a nan residual: no witness
         with np.errstate(over="ignore", invalid="ignore"):
             gp = _five_point_derivative(g, h)
-            tau_in = frame.tau[2:-2]
-            ortho = gp - (np.sum(gp * tau_in, axis=1)[:, None]) * tau_in
+            ortho = project_off(gp[:, None], frame.tau[2:-2, None])[:, 0]
             scale = np.maximum(1.0, np.linalg.norm(gp, axis=1))
             residual = float((np.linalg.norm(ortho, axis=1) / scale).max())
             eps = np.finfo(float).eps
@@ -474,9 +477,10 @@ def normal_flatness_residual(frame: AdaptedFrame,
 
     At each regular node the residual is the component of the
     finite-differenced d(nu_i)/dt orthogonal to the surface's tangent
-    plane and to nu_i itself. Nodes whose Jacobian smallest singular
-    value falls below ``_FLATNESS_EXCLUSION`` are skipped; if everything
-    is skipped the check is vacuous (e.g. a straight segment).
+    plane (tau and the t-column's part orthogonal to it) and to nu_i
+    itself. Nodes whose Jacobian smallest singular value falls below
+    ``_FLATNESS_EXCLUSION`` are skipped; if everything is skipped the
+    check is vacuous (e.g. a straight segment).
     """
     nu = frame.nus.swapaxes(0, 1)  # (nodes, normals, dim)
     nu_dot = central_difference(nu, frame.grid)
@@ -490,16 +494,13 @@ def normal_flatness_residual(frame: AdaptedFrame,
     tau = nodes.tau[:, None, :]
     kept = (ruled_singular_values(jt, tau[..., None])[..., -1]
             >= _FLATNESS_EXCLUSION)
-    jac = np.stack([jt, np.broadcast_to(tau, jt.shape)], -1)
-    q, r = np.linalg.qr(jac[kept])
-    # zero the columns whose |R_kk| is tiny next to R's largest entry
-    tiny = 1e-12 * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
-    q *= (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > tiny[:, None])[:, None]
-
     node = np.nonzero(kept)[0]
+    tau = tau[node]  # kept: |c_perp| = sigma_min sigma_max >= 1e-7 sigma_max
+    plane = np.concatenate([tau, gram_schmidt(jt[kept][:, None], tau, 0.0)],
+                           axis=1)
     nd, nu_k = nu_dot[node], nu[1:-1][node]  # (pairs, normals, dim)
-    res = nd - np.einsum("kdc,kec,kje->kjd", q, q, nd)
-    res -= np.einsum("kjd,kjd->kj", res, nu_k)[..., None] * nu_k
+    res = project_off(nd, plane)
+    res = project_off(res[..., None, :], nu_k[..., None, :])[..., 0, :]
     checked = int(kept.sum())
     return NormalFlatnessReport(
         max_residual=float(np.max(np.linalg.norm(res, axis=-1), initial=0.0)),
@@ -521,37 +522,35 @@ class NormalCurvatureField:
     max_abs: float
 
 
-def normal_curvature_r4(surface_fn, e3_fn, e4_fn, s_grid, t_grid,
-                        fd_step: float = 1e-4,
-                        frame_tol: float = 1e-8,
-                        area_tol: float = 1e-12) -> NormalCurvatureField:
+def normal_curvature_r4(surface_fn, e3_fn, e4_fn, s_grid,
+                        t_grid) -> NormalCurvatureField:
     """Normal curvature K from the connection form of the supplied normal
     frame: the curvature two-form d(w34) is measured by circulation of
     w34 around each grid cell and divided by the tangent area form on the
-    same cell (with a sign so a flat normal bundle gives K = 0).
+    same cell (with a sign so a flat normal bundle gives K = 0). A frame
+    off orthonormal-normal by more than ``_CURVATURE_FRAME_TOL`` at a
+    corner or middle sample raises :class:`MathPreconditionError`.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
 
     def partials(fn, s, t):
-        fs = (np.asarray(fn(s + fd_step, t)) - np.asarray(fn(s - fd_step, t))) / (2 * fd_step)
-        ft = (np.asarray(fn(s, t + fd_step)) - np.asarray(fn(s, t - fd_step))) / (2 * fd_step)
+        h = _CURVATURE_FD_STEP
+        fs = (np.asarray(fn(s + h, t)) - np.asarray(fn(s - h, t))) / (2 * h)
+        ft = (np.asarray(fn(s, t + h)) - np.asarray(fn(s, t - h))) / (2 * h)
         return fs, ft
 
     # precondition: orthonormal normal frame, orthogonal to the surface
     for s in (s_grid[0], s_grid[-1], s_grid[len(s_grid) // 2]):
         for t in (t_grid[0], t_grid[-1], t_grid[len(t_grid) // 2]):
-            e3 = np.asarray(e3_fn(s, t), dtype=float)
-            e4 = np.asarray(e4_fn(s, t), dtype=float)
-            fs, ft = partials(surface_fn, s, t)
-            checks = [
-                abs(e3 @ e3 - 1.0), abs(e4 @ e4 - 1.0), abs(e3 @ e4),
-                abs(e3 @ fs), abs(e3 @ ft), abs(e4 @ fs), abs(e4 @ ft),
-            ]
-            if max(checks) > frame_tol:
+            normal = np.array([e3_fn(s, t), e4_fn(s, t)], dtype=float)
+            tangent = np.stack(partials(surface_fn, s, t))
+            off = np.max([gram_deviation(normal),
+                          np.abs(normal @ tangent.T).max()])
+            if not off <= _CURVATURE_FRAME_TOL:
                 raise MathPreconditionError(
                     "supplied normal frame is not orthonormal-normal to the "
-                    f"surface within {frame_tol:g}"
+                    f"surface within {_CURVATURE_FRAME_TOL:g}"
                 )
 
     def w34(s, t, direction):
@@ -574,18 +573,13 @@ def normal_curvature_r4(surface_fn, e3_fn, e4_fn, s_grid, t_grid,
                 - w34(sm, t_grid[j + 1], "s") * ds
                 - w34(s_grid[i], tm, "t") * dt
             )
-            omega = circ / (ds * dt)
             fs, ft = partials(surface_fn, sm, tm)
             ns1 = np.linalg.norm(fs)
-            if ns1 < area_tol:
+            if ns1 < _CURVATURE_AREA_TOL:
                 continue
-            e1 = fs / ns1
-            w = ft - (ft @ e1) * e1
-            nw = np.linalg.norm(w)
-            area = ns1 * nw
-            if area < area_tol:
-                continue
-            values[i, j] = -omega / area
+            area = ns1 * np.linalg.norm(project_off(ft[None], fs[None] / ns1))
+            if area >= _CURVATURE_AREA_TOL:
+                values[i, j] = -circ / (ds * dt) / area
     finite = values[np.isfinite(values)]
     return NormalCurvatureField(
         s_centers=s_centers, t_centers=t_centers, values=values,

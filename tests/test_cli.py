@@ -378,11 +378,25 @@ class TestFrontalityCommand:
         assert rc == 0
         assert "a1=1 a2=3" in out
 
-    def test_flat_curve_reports_flip(self):
-        rc, out, _ = run_cli(["frontality", "--curve", "example21",
-                              "--t-steps", "41"])
-        assert rc == 2
-        assert "sign flips near t = 0" in out
+    def test_flat_curve_reports_flip(self, tmp_path):
+        # every velocity jet of t^10 vanishes to order 8 at t = 0: the
+        # rank lines still print, and the tangent line is undetermined
+        cfg = _write_config(tmp_path / "c.cfg", ["t^10", "t^11", "t^12"],
+                            "[-1, 1]", 11)
+        for argv, steps, tangent_line in [
+            (["--curve", "example21", "--t-steps", "41"], 41,
+             "sign flips near t = 0.0"),
+            (["--config", cfg], 11, "undetermined: tangent line "
+             "undetermined at t=0.0: all velocity jets vanish up to order 8"),
+        ]:
+            rc, out, err = run_cli(["frontality", *argv])
+            lines = out.splitlines()
+            assert (rc, err) == (2, "")
+            assert len(lines) == steps + 2
+            assert all(line.startswith("t0=") for line in lines[:steps])
+            assert lines[-2] == f"tangent-line representative {tangent_line}"
+            assert lines[-1] == ("summary: rank 2 attained at NOT all "
+                                 "sampled points")
 
     @pytest.mark.parametrize("t0", ["1e-170", "-1e-170", "1e-120"])
     def test_flat_curve_below_underflow(self, t0):

@@ -21,7 +21,7 @@ from frontals.frames import (
     tangent_surface_unit_normal,
 )
 from frontals.jets import derivative
-from frontals.linalg import orthonormal_completion
+from frontals.linalg import gram_deviation, orthonormal_completion
 
 
 def sample(fn, grid):
@@ -186,7 +186,8 @@ class TestAdaptedFrame:
         grid = np.linspace(-1, 1, 101)
         frame = adapted_frame(grid_record(entry.curve, grid), nu0=entry.frame_seed(grid[0]))
         assert np.abs(frame.mu - sample(entry.get("mu").value, grid)).max() <= 1e-8
-        assert frame.gram_deviation() <= 1e-8
+        rows = np.stack([frame.tau, frame.mu, *frame.nus], axis=1)
+        assert gram_deviation(rows).max() <= 1e-8
 
     def test_circle_frame(self):
         entry = get_entry("circle")

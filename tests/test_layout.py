@@ -186,3 +186,18 @@ def test_one_curve_evaluator():
     }
     assert offenders == []
     assert evaluators == {"Curve.jets", "ExprCurve.jets", "CallableCurve.jets"}
+
+
+def test_no_lapack_qr_in_the_package():
+    # every orthonormal frame comes from linalg.gram_schmidt, whose bytes
+    # do not depend on the BLAS kernel; LAPACK's QR is a test oracle only
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "qr")
+            or (isinstance(node, ast.ImportFrom)
+                and any(alias.name == "qr" for alias in node.names))
+        ]
+    assert offenders == []

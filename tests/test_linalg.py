@@ -7,6 +7,8 @@ from frontals.errors import MathPreconditionError
 from frontals.linalg import (
     DEFAULT_RANK_TOL,
     batched_rank,
+    gram_deviation,
+    gram_schmidt,
     orthonormal_completion,
     ruled_singular_values,
     singular_value_rank,
@@ -88,3 +90,53 @@ class TestGramSchmidt:
         tau /= np.linalg.norm(tau)
         rows = np.array([tau, *orthonormal_completion([tau], 3, 2)])
         assert np.abs(rows @ rows.T - np.eye(3)).max() <= 1e-15
+
+    @pytest.mark.parametrize("r, m, dim", [
+        (0, 1, 3), (1, 1, 3), (2, 1, 3), (0, 3, 3), (1, 2, 3),
+        (0, 4, 4), (1, 3, 4), (2, 2, 4), (2, 1, 4),
+    ])
+    def test_matches_lapack_qr(self, r, m, dim):
+        # the rows of Q^T, with each column of Q signed so that diag R is
+        # positive, are the Gram-Schmidt rows of the same input
+        rng = np.random.default_rng(100 * r + 10 * m + dim)
+        rows = rng.standard_normal((6, 5, r + m, dim))
+        q, rr = np.linalg.qr(np.swapaxes(rows, -1, -2))
+        q *= np.sign(np.diagonal(rr, axis1=-2, axis2=-1))[..., None, :]
+        expected = np.swapaxes(q, -1, -2)
+        got = gram_schmidt(rows[..., r:, :], expected[..., :r, :], 1e-6)
+        assert got.shape == (6, 5, m, dim)
+        assert np.abs(got - expected[..., r:, :]).max() <= 1e-13
+        full = np.concatenate([expected[..., :r, :], got], axis=-2)
+        assert gram_deviation(full).max() <= 1e-15
+
+    def test_broadcasts_one_basis_over_a_stack(self):
+        rng = np.random.default_rng(3)
+        basis = np.array([[0.0, 0.6, 0.8]])
+        rows = rng.standard_normal((7, 2, 3))
+        got = gram_schmidt(rows, basis, 0.0)
+        each = [gram_schmidt(v, basis, 0.0) for v in rows]
+        assert np.array_equal(got, np.array(each))
+
+    @pytest.mark.parametrize("pivot_tol, kept", [(1e-6, 2e-6), (0.0, 1e-100)])
+    def test_dependent_rows_are_zero_and_order_kept(self, pivot_tol, kept):
+        # rows 1 and 3 lie within the tolerance of row 0's span, row 2 just
+        # outside it; later rows keep their places
+        e = np.eye(4)
+        rows = np.array([e[1], e[1], e[1] + kept * e[3],
+                         e[1] + 0.5 * pivot_tol * e[2], e[2], e[0]])
+        got = gram_schmidt(rows, np.zeros((0, 4)), pivot_tol)
+        assert np.array_equal(got, [e[1], 0 * e[1], e[3], 0 * e[1], e[2],
+                                    e[0]])
+
+    def test_non_finite_row_stays_non_finite(self):
+        rows = np.array([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        got = gram_schmidt(rows, np.zeros((0, 3)), 0.0)
+        assert np.isnan(got).all()
+        assert np.isnan(gram_deviation(got))
+
+
+def test_gram_deviation_per_stack():
+    rows = np.stack([np.eye(3), np.diag([1.0, 1.0, 1.0 + 2e-9]),
+                     [[1.0, 0, 0], [0, 1.0, 0], [1e-7, 0, 1.0]]])
+    assert gram_deviation(rows) == pytest.approx([0.0, 4e-9, 1e-7],
+                                                 rel=1e-6)
